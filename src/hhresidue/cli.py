@@ -161,7 +161,7 @@ def _format_step(step: tuple[int, ...]) -> str:
     return "(" + ", ".join(map(str, step)) + ")"
 
 
-def cmd_residue(args: argparse.Namespace, out) -> int:
+def cmd_residue(args: argparse.Namespace) -> int:
     try:
         terms = [int(tok) for tok in args.sequence.replace(",", " ").split()]
         if any(t < 0 for t in terms):
@@ -178,16 +178,15 @@ def cmd_residue(args: argparse.Namespace, out) -> int:
     else:
         shown = trace.steps
     for i, step in enumerate(shown):
-        print(f"d^{i}: {_format_step(step)}", file=out)
+        print(f"d^{i}: {_format_step(step)}")
     if trace.outcome == ALL_ZERO:
-        print(f"residue: {trace.residue}", file=out)
+        print(f"residue: {trace.residue}")
         return 0
     if trace.outcome == NEGATIVE_TERM:
         k = len(trace.steps) - 1
         print(
             f"not graphical: reducing d^{k - 1} = {_format_step(trace.steps[k - 1])} "
             "produces a negative term",
-            file=out,
         )
     else:
         k = len(trace.steps) - 1
@@ -195,22 +194,31 @@ def cmd_residue(args: argparse.Namespace, out) -> int:
         print(
             f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "
             f"but only {len(last) - 1} remaining terms",
-            file=out,
         )
     return 1
 
 
-def cmd_analyze(args: argparse.Namespace, out) -> int:
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
+def _read_tokens(path: str) -> list[str]:
+    """The input's lines, stripped. Bytes decode one-to-one (latin-1), so a
+    non-ASCII byte fails graph6 parsing on its own line, with its offset."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.input, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return [line.strip().decode("latin-1") for line in data.splitlines()]
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    try:
+        tokens = _read_tokens(args.input)
+    except OSError as exc:
+        print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     records: list[tuple[int, AnalysisRecord | None, str, str | None]] = []
     had_errors = False
-    for lineno, raw in enumerate(lines, start=1):
-        token = raw.strip()
+    for lineno, token in enumerate(tokens, start=1):
         if not token:
             continue
         try:
@@ -237,7 +245,8 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             else:
                 row = rec.to_csv_row()
             out_lines.append(",".join(_csv_quote(cell) for cell in row))
-    print("\n".join(out_lines), file=out)
+    if not _emit("\n".join(out_lines), args.out):
+        return 2
 
     if had_errors:
         for lineno, rec, token, err in records:
@@ -253,7 +262,7 @@ def _csv_quote(cell: str) -> str:
     return cell
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     check, default_n = THEOREM_CHECKS[args.theorem]
     n_max = args.max_n if args.max_n is not None else default_n
     try:
@@ -261,8 +270,25 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.to_dict(), indent=2), file=out)
+    if not _emit(json.dumps(report.to_dict(), indent=2), args.out):
+        return 2
     return 0 if report.passed else 1
+
+
+def _emit(text: str, out_path: str | None) -> bool:
+    """Print the finished report to stdout, or to out_path, which is opened
+    only now so that failing earlier never truncates it. False (after a
+    message) when out_path cannot be written."""
+    if not out_path:
+        print(text)
+        return True
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,20 +329,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            return _dispatch(args, fh)
-    return _dispatch(args, sys.stdout)
-
-
-def _dispatch(args: argparse.Namespace, out) -> int:
     if args.command == "residue":
-        return cmd_residue(args, out)
+        return cmd_residue(args)
     if args.command == "analyze":
-        return cmd_analyze(args, out)
-    return cmd_verify(args, out)
+        return cmd_analyze(args)
+    return cmd_verify(args)
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,18 +1,20 @@
 """Exhaustive generation of all isomorphism classes of small graphs.
 
 Representatives of order n are grown from those of order n-1 by attaching a
-new vertex with every possible neighborhood and deduplicating on canonical
-form; every graph on n vertices arises this way from the class of itself
-minus one vertex, so the sweep is complete. Results are cached per order
-and listed in canonical-key order, so repeated sweeps are cheap and
-deterministic.
+new vertex, but only with neighborhoods that make it a minimum-degree
+vertex of the result. The sweep is complete: every graph on n vertices is
+its min-degree-vertex-deleted subgraph plus that vertex. Candidates are
+bucketed by a cheap isomorphism invariant and kept only when
+:func:`is_isomorphic` rejects every representative already in their
+bucket. Results are cached per order and listed in generation order, so
+repeated sweeps are cheap and deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .graphs import Graph, canonical_form, is_isomorphic, iter_bits
+from .graphs import Graph, is_isomorphic, iter_bits
 
 ENUMERATION_MAX_N = 8
 
@@ -21,7 +23,7 @@ _cache: dict[int, list[Graph]] = {}
 
 def enumerate_graphs(n: int) -> list[Graph]:
     """All isomorphism classes of simple graphs on n vertices, one
-    representative each, in canonical-key order. Supports 1 <= n <= 8."""
+    representative each, in generation order. Supports 1 <= n <= 8."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"order {n} outside supported range 1..{ENUMERATION_MAX_N}")
     cached = _cache.get(n)
@@ -30,22 +32,43 @@ def enumerate_graphs(n: int) -> list[Graph]:
     if n == 1:
         reps = [Graph(1)]
     else:
-        seen: dict[tuple[int, int], Graph] = {}
+        reps = []
+        buckets: dict[tuple, list[Graph]] = {}
         new_bit = 1 << (n - 1)
         for g in enumerate_graphs(n - 1):
-            base = list(g.adj)
+            base, deg = g.adj, g.degrees
             for pattern in range(1 << (n - 1)):
-                adj = base.copy()
+                k = pattern.bit_count()
+                # the new vertex must have minimum degree in the result
+                if any(k > d + (pattern >> u & 1) for u, d in enumerate(deg)):
+                    continue
+                adj = list(base)
                 adj.append(pattern)
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
                 h = Graph._from_adj(n, tuple(adj))
-                key = canonical_form(h)
-                if key not in seen:
-                    seen[key] = h
-        reps = [seen[k] for k in sorted(seen)]
+                bucket = buckets.setdefault(_invariant(h), [])
+                if not any(is_isomorphic(h, r) for r in bucket):
+                    bucket.append(h)
+                    reps.append(h)
     _cache[n] = reps
     return reps
+
+
+def _invariant(g: Graph) -> tuple:
+    """Sorted per-vertex (degree, triangle count, sorted neighbor degrees);
+    equal for isomorphic graphs."""
+    adj, deg = g.adj, g.degrees
+    return tuple(
+        sorted(
+            (
+                deg[v],
+                sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
+                tuple(sorted(deg[u] for u in iter_bits(a))),
+            )
+            for v, a in enumerate(adj)
+        )
+    )
 
 
 def graphs_up_to(n_max: int) -> Iterator[Graph]:
@@ -56,7 +79,7 @@ def graphs_up_to(n_max: int) -> Iterator[Graph]:
 
 def isomorphism_class_count_labeled(n: int, max_n: int = 5) -> int:
     """Independent count oracle: enumerate all 2^C(n,2) labeled graphs and
-    deduplicate by pairwise isomorphism tests (no canonical forms, no
+    deduplicate by isomorphism tests within degree-sequence buckets (no
     augmentation). Exponential; intended for n <= 5."""
     if not 0 <= n <= max_n:
         raise ValueError(f"order {n} outside oracle range 0..{max_n}")

@@ -2,16 +2,14 @@
 small-graph combinatorics.
 
 Each vertex's neighborhood is stored as an int bitmask, so induced-subgraph
-degrees, independence checks, and subset scans reduce to popcounts. The
-canonical form is exact (equal keys iff isomorphic) and is intended for
-graphs of at most ``CANONICAL_MAX_N`` vertices.
+degrees, independence checks, and subset scans reduce to popcounts.
+Isomorphism is decided exactly by a backtracking search over vertices with
+matching degree profiles.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-CANONICAL_MAX_N = 10
 
 
 def iter_bits(mask: int):
@@ -27,7 +25,7 @@ class Graph:
 
     Instances are immutable and hashable. Equality is labeled equality
     (same vertex count and same edge set), not isomorphism; use
-    :func:`is_isomorphic` or :func:`canonical_form` for the latter.
+    :func:`is_isomorphic` for the latter.
 
     Attributes:
         n: number of vertices.
@@ -166,115 +164,11 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph._from_adj(g.n, tuple(adj))
 
 
-# ---------------------------------------------------------------------------
-# Canonical form: the minimum, over all vertex orderings, of the upper
-# triangle of the adjacency matrix read in column-major order
-# ((0,1),(0,2),(1,2),(0,3),...). Exact but exponential in the worst case,
-# hence the scale bound.
-# ---------------------------------------------------------------------------
-
-
-def canonical_form(g: Graph, max_n: int = CANONICAL_MAX_N) -> tuple[int, int]:
-    """A total-order key equal for two graphs exactly when isomorphic.
-
-    Returns (n, bits) where bits packs the minimized upper-triangle
-    bitstring, first pair most significant.
-    """
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds canonical-form bound {max_n}")
-    n = g.n
-    if n < 2:
-        return (n, 0)
-    cols = _min_columns(g)
-    bits = 0
-    for k, col in enumerate(cols, start=1):
-        bits = (bits << k) | col
-    return (n, bits)
-
-
-def _min_columns(g: Graph) -> list[int]:
-    """Minimize the per-position adjacency columns over all orderings.
-
-    Position k contributes a k-bit integer whose bit i (MSB first) is the
-    adjacency between the vertices placed at positions i and k. A greedy
-    seed ordering is refined by a depth-first search with prefix pruning;
-    candidates that are interchangeable with an already-tried sibling by a
-    transposition automorphism are skipped, which keeps highly symmetric
-    graphs (cliques, empty graphs) linear.
-    """
-    n, adj = g.n, g.adj
-
-    placed: list[int] = []
-    used = 0
-    seed: list[int] = []
-    for _ in range(n):
-        best_v, best_col = -1, -1
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            col = 0
-            av = adj[v]
-            for p in placed:
-                col = col << 1 | (av >> p & 1)
-            if best_v < 0 or col < best_col:
-                best_v, best_col = v, col
-        placed.append(best_v)
-        used |= 1 << best_v
-        seed.append(best_col)
-
-    best_cols = seed[1:]
-    cur: list[int] = []
-    order: list[int] = []
-
-    def descend(used: int) -> None:
-        nonlocal best_cols
-        k = len(order)
-        if k == n:
-            if cur < best_cols:
-                best_cols = cur.copy()
-            return
-        cands: list[tuple[int, int]] = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            col = 0
-            av = adj[v]
-            for p in order:
-                col = col << 1 | (av >> p & 1)
-            cands.append((col, v))
-        cands.sort()
-        tried: list[int] = []
-        for col, v in cands:
-            if k >= 1:
-                cur.append(col)
-                worse = cur > best_cols[:k]
-                if worse:
-                    cur.pop()
-                    break
-            av = adj[v]
-            twin = any(
-                (adj[u] & ~(1 << v)) == (av & ~(1 << u)) for u in tried
-            )
-            if twin:
-                if k >= 1:
-                    cur.pop()
-                continue
-            tried.append(v)
-            order.append(v)
-            descend(used | 1 << v)
-            order.pop()
-            if k >= 1:
-                cur.pop()
-
-    descend(0)
-    return best_cols
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff an adjacency-preserving bijection between g and h exists.
 
-    Independent of :func:`canonical_form`: backtracking over degree-profile
-    classes with incremental consistency checks.
+    Backtracking over degree-profile classes with incremental consistency
+    checks.
     """
     n = g.n
     if n != h.n:

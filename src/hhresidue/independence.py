@@ -80,24 +80,7 @@ def independence_number_bitmask(g: Graph, max_n: int = BITMASK_MAX_N) -> int:
     branch-and-bound route."""
     if g.n > max_n:
         raise ValueError(f"graph order {g.n} exceeds bitmask-oracle bound {max_n}")
-    n, adj = g.n, g.adj
-    if n == 0:
-        return 0
-    size = [0] * (1 << n)  # independent-set size, or -1 when not independent
-    best = 0
-    for m in range(1, 1 << n):
-        low = m & -m
-        v = low.bit_length() - 1
-        rest = m ^ low
-        s = size[rest]
-        if s >= 0 and not adj[v] & rest:
-            s += 1
-            size[m] = s
-            if s > best:
-                best = s
-        else:
-            size[m] = -1
-    return best
+    return _subset_sweep(g)[1]
 
 
 def maximum_independent_sets(g: Graph, max_n: int = ALL_MIS_MAX_N) -> list[tuple[int, ...]]:
@@ -105,12 +88,18 @@ def maximum_independent_sets(g: Graph, max_n: int = ALL_MIS_MAX_N) -> list[tuple
     tuple, listed in lexicographic order."""
     if g.n > max_n:
         raise ValueError(f"graph order {g.n} exceeds exhaustive bound {max_n}")
-    n, adj = g.n, g.adj
-    if n == 0:
-        return [()]
-    size = [0] * (1 << n)
+    size, best = _subset_sweep(g)
+    return sorted(tuple(iter_bits(m)) for m, s in enumerate(size) if s == best)
+
+
+def _subset_sweep(g: Graph) -> tuple[list[int], int]:
+    """Size of every vertex subset as an independent set (-1 when it is not
+    independent), indexed by bitmask, and the largest size. Each subset
+    extends the record of itself minus its lowest vertex."""
+    adj = g.adj
+    size = [0] * (1 << g.n)
     best = 0
-    for m in range(1, 1 << n):
+    for m in range(1, 1 << g.n):
         low = m & -m
         v = low.bit_length() - 1
         rest = m ^ low
@@ -122,8 +111,7 @@ def maximum_independent_sets(g: Graph, max_n: int = ALL_MIS_MAX_N) -> list[tuple
                 best = s
         else:
             size[m] = -1
-    sets = [tuple(iter_bits(m)) for m in range(1 << n) if size[m] == best]
-    return sorted(sets)
+    return size, best
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (visible with ``pytest -s`` or ``-rA``).
-
-Criterion 5's order-8 extension is marked slow; run it with
-``pytest -m slow tests/test_acceptance.py``.
 """
 
 import itertools
 import json
 import random
 import time
-
-import pytest
 
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS
 from hhresidue.cli import main
@@ -90,7 +85,6 @@ def test_criterion_05_r_equals_alpha_on_class_n7():
     report("5 residue equals alpha on the class, n<=7", rep.passed)
 
 
-@pytest.mark.slow
 def test_criterion_05_slow_extension_n8():
     started = time.monotonic()
     classes = len(enumerate_graphs(8))

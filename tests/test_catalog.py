@@ -1,5 +1,7 @@
 """Catalog encodings: counts, degree sequences, distinctness."""
 
+import itertools
+
 import pytest
 
 from hhresidue.catalog import (
@@ -15,7 +17,7 @@ from hhresidue.catalog import (
     k23_plus,
     path,
 )
-from hhresidue.graphs import canonical_form, complement, is_isomorphic
+from hhresidue.graphs import complement, is_isomorphic
 
 # (vertices, edges, degree sequence) for every forbidden member.
 FORBIDDEN_SHAPES = {
@@ -45,8 +47,10 @@ def test_forbidden_member_shape(name):
 
 
 def test_forbidden_members_pairwise_distinct():
-    keys = {canonical_form(g) for g in FORBIDDEN_SUBGRAPHS.values()}
-    assert len(keys) == 9
+    members = list(FORBIDDEN_SUBGRAPHS.values())
+    assert len(members) == 9
+    for g, h in itertools.combinations(members, 2):
+        assert not is_isomorphic(g, h)
 
 
 def test_k23_plus_is_complement_of_k2_plus_p3():

@@ -1,6 +1,9 @@
 """Command-line front end: residue traces, analysis records, verification."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +156,35 @@ def test_analyze_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text().splitlines()[0])["graph6"] == "A_"
 
 
+def test_analyze_missing_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run(capsys, "analyze", "--input", str(missing))
+    assert code == 2
+    assert out == ""
+    assert "error" in err and str(missing) in err
+
+
+def test_analyze_non_ascii_byte_reports_line(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    src.write_bytes(b"A_\nD\xc3\xa9\n" + C5_G6.encode("ascii") + b"\n")
+    code, out, err = run(capsys, "analyze", "--input", str(src))
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["line"] for r in records] == [1, 2, 3]
+    assert "byte 195" in records[1]["error"] and "offset 1" in records[1]["error"]
+    assert records[2]["graph6"] == C5_G6
+    assert "line 2" in err
+
+
+def test_analyze_bad_input_keeps_existing_out_file(tmp_path, capsys):
+    dest = tmp_path / "report.jsonl"
+    dest.write_text("previous report\n")
+    missing = tmp_path / "missing.g6"
+    code, _, _ = run(capsys, "analyze", "--input", str(missing), "--out", str(dest))
+    assert code == 2
+    assert dest.read_text() == "previous report\n"
+
+
 # --- verify ----------------------------------------------------------------
 
 
@@ -163,6 +195,14 @@ def test_verify_exits_zero_and_reports(capsys):
     assert payload["passed"] is True
     assert payload["graphs_checked"] == 18
     assert payload["violations"] == []
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, "verify", "class-chain", "--max-n", "3", "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
 
 
 def test_verify_unknown_theorem(capsys):
@@ -189,6 +229,23 @@ def test_verify_all_registered_theorems(capsys):
         code, out, _ = run(capsys, "verify", theorem, "--max-n", n)
         assert code == 0, theorem
         assert json.loads(out)["theorem_id"] == theorem
+
+
+@pytest.mark.parametrize("module", ["hhresidue.cli", "hhresidue"])
+def test_python_m_entry_points(module):
+    paths = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "class-chain", "--max-n", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["theorem_id"] == "class-chain"
+    assert payload["graphs_checked"] == 7
 
 
 def test_usage_error_exit_code(capsys):

@@ -28,6 +28,28 @@ def test_representatives_pairwise_non_isomorphic():
         assert not is_isomorphic(g, h)
 
 
+def test_classes_match_networkx_atlas_up_to_7():
+    """Pair the classes of order 1..7 one-to-one with the 1,252 nonempty
+    graphs of networkx's atlas, matched by nx.is_isomorphic within
+    degree-sequence buckets."""
+    nx = pytest.importorskip("networkx")
+    atlas: dict[tuple[int, ...], list] = {}
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes():
+            degseq = tuple(sorted((d for _, d in a.degree()), reverse=True))
+            atlas.setdefault(degseq, []).append(a)
+    assert sum(map(len, atlas.values())) == 1252
+    reps = list(graphs_up_to(7))
+    assert len(reps) == 1252
+    for g in reps:
+        ours = nx.Graph(g.edges())
+        ours.add_nodes_from(range(g.n))
+        bucket = atlas.get(g.degree_sequence(), [])
+        hits = [i for i, a in enumerate(bucket) if nx.is_isomorphic(ours, a)]
+        assert len(hits) == 1, g
+        bucket.pop(hits[0])
+
+
 def test_known_graphs_are_covered():
     for target in (cycle(5), path(5), complete(5)):
         assert sum(1 for g in enumerate_graphs(5) if is_isomorphic(g, target)) == 1

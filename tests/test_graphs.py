@@ -1,4 +1,4 @@
-"""Graph construction, operations, canonical forms, and isomorphism."""
+"""Graph construction, operations, and isomorphism."""
 
 import itertools
 
@@ -17,7 +17,6 @@ from hhresidue.catalog import (
 )
 from hhresidue.graphs import (
     Graph,
-    canonical_form,
     complement,
     disjoint_union,
     from_edges,
@@ -152,23 +151,13 @@ def test_induced_rejects_out_of_range():
         induced_subgraph(path(3), [0, 5])
 
 
-# --- canonical form and isomorphism ----------------------------------------
-
-
-def test_canonical_same_for_relabeled_p3():
-    a = Graph(3, [(0, 1), (1, 2)])
-    b = Graph(3, [(0, 2), (2, 1)])
-    assert canonical_form(a) == canonical_form(b)
-
-
-def test_canonical_distinguishes_k3_from_p3():
-    assert canonical_form(complete(3)) != canonical_form(path(3))
+# --- isomorphism -----------------------------------------------------------
 
 
 def test_canonical_on_all_4_vertex_graphs():
     """Group the 64 labeled graphs by the brute-force permutation oracle:
-    the canonical key must be constant on each of the 11 groups and
-    distinct across groups."""
+    is_isomorphic must hold within each of the 11 groups and fail across
+    them."""
     groups = []
     for g in all_labeled_graphs(4):
         for group in groups:
@@ -178,32 +167,10 @@ def test_canonical_on_all_4_vertex_graphs():
         else:
             groups.append([g])
     assert len(groups) == 11
-    keys = []
-    for group in groups:
-        group_keys = {canonical_form(g) for g in group}
-        assert len(group_keys) == 1
-        keys.append(group_keys.pop())
-    assert len(set(keys)) == 11
-
-
-def test_canonical_invariant_under_all_permutations_n5():
-    from hhresidue.enumeration import enumerate_graphs
-
-    for g in enumerate_graphs(5):
-        key = canonical_form(g)
-        for perm in itertools.permutations(range(5)):
-            assert canonical_form(permute(g, perm)) == key
-
-
-@given(graphs_with_permutation())
-def test_canonical_invariant_under_random_permutations(gp):
-    g, perm = gp
-    assert canonical_form(permute(g, perm)) == canonical_form(g)
-
-
-def test_canonical_scale_bound():
-    with pytest.raises(ValueError):
-        canonical_form(empty_graph(11))
+    for i, group in enumerate(groups):
+        assert all(is_isomorphic(group[0], g) for g in group)
+        for other in groups[i + 1 :]:
+            assert not any(is_isomorphic(g, h) for g in group for h in other)
 
 
 @given(graphs_with_permutation(max_n=7))
@@ -214,7 +181,7 @@ def test_is_isomorphic_accepts_relabelings(gp):
 
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_is_isomorphic_matches_canonical(g, h):
-    assert is_isomorphic(g, h) == (canonical_form(g) == canonical_form(h))
+    assert is_isomorphic(g, h) == brute_isomorphic(g, h)
 
 
 def test_permute_maps_labels():
