@@ -14,14 +14,12 @@ import argparse
 import os
 import sys
 from collections import Counter
+from itertools import groupby
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hhresidue.degseq import residue  # noqa: E402
-from hhresidue.enumeration import enumerate_graphs  # noqa: E402
-from hhresidue.graph6 import emit_graph6  # noqa: E402
-from hhresidue.independence import independence_number  # noqa: E402
-from hhresidue.recognition import is_strong_havel_hakimi  # noqa: E402
+from hhresidue.enumeration import ENUMERATION_MAX_N  # noqa: E402
+from hhresidue.harness import records_up_to  # noqa: E402
 
 
 def main() -> int:
@@ -30,25 +28,27 @@ def main() -> int:
     parser.add_argument("--examples", type=int, default=3,
                         help="out-of-class equality examples to print per order")
     args = parser.parse_args()
+    if args.max_n < 1:
+        parser.error("--max-n must be at least 1")
 
     print(f"{'n':>2} {'graphs':>7} {'in-class':>9} {'R=alpha':>8} "
           f"{'R=alpha outside':>16}  gap distribution")
-    for n in range(1, min(args.max_n, 8) + 1):
+    records = records_up_to(min(args.max_n, ENUMERATION_MAX_N))
+    for n, group in groupby(records, key=lambda rec: rec.graph.n):
         gaps = Counter()
         in_class = equal = equal_outside = 0
         samples = []
-        for g in enumerate_graphs(n):
-            r = residue(g.degree_sequence())
-            alpha = independence_number(g)
+        for rec in group:
+            r, alpha = rec.residue, rec.alpha
             gaps[alpha - r] += 1
-            member = is_strong_havel_hakimi(g)
+            member = rec.witness is None
             in_class += member
             if r == alpha:
                 equal += 1
                 if not member:
                     equal_outside += 1
                     if len(samples) < args.examples:
-                        samples.append(emit_graph6(g))
+                        samples.append(rec.graph6)
         dist = " ".join(f"{gap}:{count}" for gap, count in sorted(gaps.items()))
         print(f"{n:>2} {sum(gaps.values()):>7} {in_class:>9} {equal:>8} "
               f"{equal_outside:>16}  {dist}")

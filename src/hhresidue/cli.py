@@ -3,10 +3,11 @@
 Subcommands:
 
 - ``residue``: trace the degree-sequence reduction and print the residue;
-- ``analyze``: per-graph records (residue, alpha, Maxine sizes, class
+- ``analyze``: per-graph rows (residue, alpha, Maxine sizes, class
   memberships, witnesses) for a stream of graph6 lines, as JSON lines or
-  CSV;
-- ``verify``: run one enumeration-based check and emit its JSON report.
+  CSV, read from the same per-graph record the checks use;
+- ``verify``: run one enumeration-based check and emit its JSON report, or
+  ``verify all``: every check, in registry order, as a JSON array.
 
 Exit codes: 0 success/verified, 1 violation or non-graphical input, 2
 usage or parse errors. Output is byte-deterministic for fixed inputs and
@@ -19,24 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .degseq import ALL_ZERO, NEGATIVE_TERM, hh_reduce
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import Graph6Error, parse_graph6
 from .graphs import Graph
-from .harness import THEOREM_CHECKS
-from .independence import (
-    ALPHA_MAX_N,
-    BRANCH_MAX_N,
-    independence_number,
-    maxine_all_branches,
-    maxine_run,
-)
-from .recognition import (
-    find_matrogenic_config,
-    is_threshold,
-    strong_hh_witness,
-)
+from .harness import THEOREM_CHECKS, GraphRecord, verify
+from .independence import ALPHA_MAX_N, BRANCH_MAX_N, maxine_run
 
 # Class-membership scans are polynomial but steep (subset scans up to size
 # 6); records for larger inputs mark them skipped.
@@ -59,102 +48,42 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class AnalysisRecord:
-    """Per-graph analysis row; numeric fields hold the string "skipped:
-    scale" when the input exceeds the documented exact-computation bounds."""
-
-    graph6: str
-    n: int
-    degree_sequence: tuple[int, ...]
-    residue: int
-    alpha: int | str
-    maxine_min: int | str
-    maxine_max: int | str
-    in_s: bool | str
-    matrogenic_config_free: bool | str
-    threshold: bool | str
-    witness: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "degree_sequence": list(self.degree_sequence),
-            "residue": self.residue,
-            "alpha": self.alpha,
-            "maxine_min": self.maxine_min,
-            "maxine_max": self.maxine_max,
-            "in_s": self.in_s,
-            "matrogenic_config_free": self.matrogenic_config_free,
-            "threshold": self.threshold,
-            "witness": self.witness,
-        }
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.graph6,
-            str(self.n),
-            " ".join(map(str, self.degree_sequence)),
-            str(self.residue),
-            str(self.alpha),
-            str(self.maxine_min),
-            str(self.maxine_max),
-            str(self.in_s),
-            str(self.matrogenic_config_free),
-            str(self.threshold),
-            self.witness or "",
-            "",
-        ]
-
-
-def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = None) -> AnalysisRecord:
-    """Compute one record; exact alpha and Maxine branching respect their
-    scale bounds, single-run Maxine strategies have none."""
-    trace = hh_reduce(g.degree_sequence())
-    r = trace.residue
-
-    alpha: int | str = SKIPPED
-    if g.n <= ALPHA_MAX_N:
-        alpha = independence_number(g)
-
-    maxine_min: int | str
-    maxine_max: int | str
-    if strategy == "all-branches":
-        if g.n <= BRANCH_MAX_N:
-            summary = maxine_all_branches(g)
-            maxine_min, maxine_max = summary.min_size, summary.max_size
-        else:
-            maxine_min = maxine_max = SKIPPED
+def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = None) -> dict:
+    """One output row, keyed by the CSV columns before "error", read from
+    a GraphRecord. Exact alpha, Maxine branching and the class scans
+    respect their scale bounds, holding "skipped: scale" beyond them;
+    single-run Maxine strategies have none."""
+    rec = GraphRecord(g)
+    n = g.n
+    if strategy != "all-branches":
+        maxine_min = maxine_max = maxine_run(g, strategy=strategy, seed=seed).size
+    elif n <= BRANCH_MAX_N:
+        maxine_min, maxine_max = rec.branches.min_size, rec.branches.max_size
     else:
-        outcome = maxine_run(g, strategy=strategy, seed=seed)
-        maxine_min = maxine_max = outcome.size
+        maxine_min = maxine_max = SKIPPED
+    scans = n <= CLASS_SCAN_MAX_N
+    w = rec.witness if scans else None
+    return {
+        "graph6": rec.graph6,
+        "n": n,
+        "degree_sequence": list(g.degree_sequence()),
+        "residue": rec.residue,
+        "alpha": rec.alpha if n <= ALPHA_MAX_N else SKIPPED,
+        "maxine_min": maxine_min,
+        "maxine_max": maxine_max,
+        "in_s": w is None if scans else SKIPPED,
+        "matrogenic_config_free": rec.config_free if scans else SKIPPED,
+        "threshold": rec.threshold if scans else SKIPPED,
+        "witness": f"{w.name}:{','.join(map(str, w.vertices))}" if w else None,
+    }
 
-    in_s: bool | str = SKIPPED
-    config_free: bool | str = SKIPPED
-    threshold: bool | str = SKIPPED
-    witness = None
-    if g.n <= CLASS_SCAN_MAX_N:
-        w = strong_hh_witness(g)
-        in_s = w is None
-        if w is not None:
-            witness = f"{w.name}:{','.join(map(str, w.vertices))}"
-        config_free = find_matrogenic_config(g) is None
-        threshold = is_threshold(g)
 
-    return AnalysisRecord(
-        graph6=emit_graph6(g),
-        n=g.n,
-        degree_sequence=g.degree_sequence(),
-        residue=r,
-        alpha=alpha,
-        maxine_min=maxine_min,
-        maxine_max=maxine_max,
-        in_s=in_s,
-        matrogenic_config_free=config_free,
-        threshold=threshold,
-        witness=witness,
-    )
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
 
 
 def _format_step(step: tuple[int, ...]) -> str:
@@ -216,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 2
 
-    records: list[tuple[int, AnalysisRecord | None, str, str | None]] = []
+    records: list[tuple[int, dict | None, str, str | None]] = []
     had_errors = False
     for lineno, token in enumerate(tokens, start=1):
         if not token:
@@ -235,7 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if rec is None:
                 payload: dict = {"line": lineno, "graph6": token, "error": err}
             else:
-                payload = {"line": lineno, **rec.to_dict()}
+                payload = {"line": lineno, **rec}
             out_lines.append(json.dumps(payload))
     else:
         out_lines.append(",".join(CSV_COLUMNS))
@@ -243,7 +172,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if rec is None:
                 row = [token] + [""] * (len(CSV_COLUMNS) - 2) + [err or "parse error"]
             else:
-                row = rec.to_csv_row()
+                row = [_csv_cell(rec[column]) for column in CSV_COLUMNS[:-1]] + [""]
             out_lines.append(",".join(_csv_quote(cell) for cell in row))
     if not _emit("\n".join(out_lines), args.out):
         return 2
@@ -263,16 +192,16 @@ def _csv_quote(cell: str) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    check, default_n = THEOREM_CHECKS[args.theorem]
-    n_max = args.max_n if args.max_n is not None else default_n
+    ids = list(THEOREM_CHECKS) if args.theorem == "all" else [args.theorem]
     try:
-        report = check(n_max)
+        reports = [verify(cid, args.max_n) for cid in ids]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _emit(json.dumps(report.to_dict(), indent=2), args.out):
+    payload = [r.to_dict() for r in reports] if args.theorem == "all" else reports[0].to_dict()
+    if not _emit(json.dumps(payload, indent=2), args.out):
         return 2
-    return 0 if report.passed else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _emit(text: str, out_path: str | None) -> bool:
@@ -314,9 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--seed", type=int, default=0, help="seed for --strategy random")
 
-    p_ver = sub.add_parser("verify", help="run one enumeration-based check")
-    p_ver.add_argument("theorem", choices=sorted(THEOREM_CHECKS))
-    p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p_ver = sub.add_parser("verify", help="run one enumeration-based check, or all")
+    p_ver.add_argument("theorem", choices=sorted([*THEOREM_CHECKS, "all"]))
+    p_ver.add_argument(
+        "--max-n", type=int, default=None, dest="max_n",
+        help="largest order checked (default: each check's own)",
+    )
     p_ver.add_argument("--out", default=None, help="write the JSON report here")
 
     return parser

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from .graphs import Graph, is_isomorphic, iter_bits
 
 ENUMERATION_MAX_N = 8
+LABELED_COUNT_MAX_N = 5
 
 _cache: dict[int, list[Graph]] = {}
 
@@ -77,12 +78,12 @@ def graphs_up_to(n_max: int) -> Iterator[Graph]:
         yield from enumerate_graphs(n)
 
 
-def isomorphism_class_count_labeled(n: int, max_n: int = 5) -> int:
+def isomorphism_class_count_labeled(n: int) -> int:
     """Independent count oracle: enumerate all 2^C(n,2) labeled graphs and
     deduplicate by isomorphism tests within degree-sequence buckets (no
-    augmentation). Exponential; intended for n <= 5."""
-    if not 0 <= n <= max_n:
-        raise ValueError(f"order {n} outside oracle range 0..{max_n}")
+    augmentation). Exponential, hence the bound LABELED_COUNT_MAX_N."""
+    if not 0 <= n <= LABELED_COUNT_MAX_N:
+        raise ValueError(f"order {n} outside oracle range 0..{LABELED_COUNT_MAX_N}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     reps_by_degseq: dict[tuple[int, ...], list[Graph]] = {}
     count = 0

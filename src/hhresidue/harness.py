@@ -1,16 +1,25 @@
 """Enumeration-based checks of the structural facts the package is built
-on.
+on, over one shared per-graph record.
 
-Each check sweeps every isomorphism class up to a size bound and reports
-violations as graph6 strings with messages, so a failure is reproducible
-from the report alone. The facts checked:
+A :class:`GraphRecord` holds the facts about one graph that the checks and
+``analyze`` read: graph6, residue, alpha, the Maxine branches, the
+forbidden-subgraph witness, the first definitional violation, threshold
+and configuration-free membership, and the maximum independent sets. Each
+is computed on first access and kept. Records are cached per order, like
+the enumeration itself, so a run of several checks computes each fact
+once per isomorphism class.
+
+Each check is a predicate over the records of every class of order
+1..n_max (any n_max up to ``ENUMERATION_MAX_N``) and reports violations as
+graph6 strings with messages, so a failure is reproducible from the report
+alone. The facts checked:
 
 - the definitional strong Havel-Hakimi oracle agrees with the
   forbidden-subgraph scan ("forb-equivalence");
 - the minimal forbidden induced subgraphs are exactly the nine catalog
   graphs ("minimal-forbidden");
-- residue <= alpha everywhere, and residue <= M <= alpha for every
-  achievable Maxine size ("residue-bounds");
+- residue <= alpha, and residue <= M <= alpha for every achievable Maxine
+  size ("residue-bounds");
 - on the class itself, residue = alpha and every Maxine branch returns the
   residue ("r-equals-alpha-S");
 - a maximum-degree vertex lying in all maximum independent sets sits on an
@@ -21,26 +30,96 @@ from the report alone. The facts checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Any, Callable
 
 from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
-from .enumeration import graphs_up_to
+from .enumeration import ENUMERATION_MAX_N, enumerate_graphs
 from .graph6 import emit_graph6
-from .graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
-from .independence import independence_number, maximum_independent_sets, maxine_all_branches
+from .graphs import Graph, is_isomorphic, iter_bits
+from .independence import (
+    MaxineBranchSummary,
+    independence_number,
+    maximum_independent_sets,
+    maxine_all_branches,
+)
 from .recognition import (
+    ForbiddenWitness,
+    definitional_violation,
     is_matrogenic_config_free,
-    is_strong_havel_hakimi_definitional,
     is_threshold,
     strong_hh_witness,
 )
 
 
-def _validate_n_max(n_max: int, cap: int) -> None:
-    if not 1 <= n_max <= cap:
-        raise ValueError(f"n_max {n_max} outside supported range 1..{cap}")
+class GraphRecord:
+    """The per-graph facts, each computed on first access and then kept.
+    Callers read only the fields within the scale bounds of their
+    inputs."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    @cached_property
+    def graph6(self) -> str:
+        return emit_graph6(self.graph)
+
+    @cached_property
+    def residue(self) -> int:
+        return residue(self.graph.degree_sequence())
+
+    @cached_property
+    def alpha(self) -> int:
+        return independence_number(self.graph)
+
+    @cached_property
+    def branches(self) -> MaxineBranchSummary:
+        return maxine_all_branches(self.graph)
+
+    @cached_property
+    def witness(self) -> ForbiddenWitness | None:
+        return strong_hh_witness(self.graph)
+
+    @cached_property
+    def violation(self) -> int | None:
+        """First vertex subset (bitmask) failing the definitional oracle."""
+        return definitional_violation(self.graph)
+
+    @cached_property
+    def threshold(self) -> bool:
+        return is_threshold(self.graph)
+
+    @cached_property
+    def config_free(self) -> bool:
+        return is_matrogenic_config_free(self.graph)
+
+    @cached_property
+    def mis(self) -> list[tuple[int, ...]]:
+        return maximum_independent_sets(self.graph)
+
+    @property
+    def minimal_forbidden(self) -> bool:
+        """Outside the class with every one-vertex deletion inside, by the
+        definitional oracle: the first violation is the whole vertex set,
+        since every proper subset has a smaller mask and lies inside some
+        one-vertex deletion."""
+        return self.violation == (1 << self.graph.n) - 1
+
+
+_records: dict[int, list[GraphRecord]] = {}
+
+
+def records_up_to(n_max: int) -> list[GraphRecord]:
+    """Records of every class of order 1..n_max, smaller orders first, in
+    enumeration order; built once per order."""
+    if not 1 <= n_max <= ENUMERATION_MAX_N:
+        raise ValueError(f"n_max {n_max} outside supported range 1..{ENUMERATION_MAX_N}")
+    for n in range(1, n_max + 1):
+        if n not in _records:
+            _records[n] = [GraphRecord(g) for g in enumerate_graphs(n)]
+    return [rec for n in range(1, n_max + 1) for rec in _records[n]]
 
 
 @dataclass(frozen=True)
@@ -72,25 +151,31 @@ class TheoremReport:
         }
 
 
-def verify_forb_equivalence(n_max: int = 7) -> TheoremReport:
-    """Definitional oracle == forbidden-subgraph scan on every class of
-    order <= n_max."""
-    _validate_n_max(n_max, 8)
+def _sweep(
+    check_id: str, n_max: int, predicate: Callable[[GraphRecord], list[str] | None]
+) -> TheoremReport:
+    """Apply predicate to the record of every class of order <= n_max. It
+    returns the graph's violation messages, or None to leave the graph
+    out of the count."""
     violations = []
     checked = 0
-    for g in graphs_up_to(n_max):
+    for rec in records_up_to(n_max):
+        messages = predicate(rec)
+        if messages is None:
+            continue
         checked += 1
-        by_definition = is_strong_havel_hakimi_definitional(g)
-        witness = strong_hh_witness(g)
-        if by_definition != (witness is None):
-            detail = f"witness={witness.name}{witness.vertices}" if witness else "no witness"
-            violations.append(
-                Violation(
-                    emit_graph6(g),
-                    f"definitional={by_definition} forbidden-scan={witness is None} ({detail})",
-                )
-            )
-    return TheoremReport("forb-equivalence", n_max, checked, tuple(violations))
+        violations += [Violation(rec.graph6, m) for m in messages]
+    return TheoremReport(check_id, n_max, checked, tuple(violations))
+
+
+def _forb_equivalence(rec: GraphRecord) -> list[str]:
+    """Definitional oracle == forbidden-subgraph scan."""
+    by_definition = rec.violation is None
+    w = rec.witness
+    if by_definition == (w is None):
+        return []
+    detail = f"witness={w.name}{w.vertices}" if w else "no witness"
+    return [f"definitional={by_definition} forbidden-scan={w is None} ({detail})"]
 
 
 def minimal_forbidden(n_max: int = 6) -> list[Graph]:
@@ -98,113 +183,66 @@ def minimal_forbidden(n_max: int = 6) -> list[Graph]:
     one-vertex-deleted induced subgraph is inside, judged by the
     definitional oracle alone; one representative per isomorphism class.
     All nine members appear once n_max >= 6."""
-    _validate_n_max(n_max, 8)
-    found = []
-    for g in graphs_up_to(n_max):
-        if is_strong_havel_hakimi_definitional(g):
-            continue
-        others = range(g.n)
-        if all(
-            is_strong_havel_hakimi_definitional(
-                induced_subgraph(g, [u for u in others if u != v])
-            )
-            for v in others
-        ):
-            found.append(g)
-    return found
+    return [rec.graph for rec in records_up_to(n_max) if rec.minimal_forbidden]
 
 
-def verify_minimal_forbidden(n_max: int = 6) -> TheoremReport:
+def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
     """The minimal-forbidden sweep returns exactly the nine catalog graphs
     (also certifying the catalog's fixed edge lists), and each catalog
     member is itself minimal."""
-    _validate_n_max(n_max, 8)
-    violations = []
-    found = minimal_forbidden(n_max)
-    names = list(FORBIDDEN_SUBGRAPHS)
     matched: set[str] = set()
-    for g in found:
-        hits = [name for name in names if is_isomorphic(g, FORBIDDEN_SUBGRAPHS[name])]
-        if not hits:
-            violations.append(
-                Violation(emit_graph6(g), "minimal forbidden graph not in the catalog")
-            )
-        else:
-            matched.update(hits)
-    for name in names:
-        fg = FORBIDDEN_SUBGRAPHS[name]
+
+    def in_catalog(rec: GraphRecord) -> list[str]:
+        if not rec.minimal_forbidden:
+            return []
+        hits = [name for name, fg in FORBIDDEN_SUBGRAPHS.items() if is_isomorphic(rec.graph, fg)]
+        matched.update(hits)
+        return [] if hits else ["minimal forbidden graph not in the catalog"]
+
+    report = _sweep("minimal-forbidden", n_max, in_catalog)
+    violations = list(report.violations)
+    for name, fg in FORBIDDEN_SUBGRAPHS.items():
+        g6 = emit_graph6(fg)
         if fg.n <= n_max and name not in matched:
+            violations.append(Violation(g6, f"catalog graph {name} not found by the sweep"))
+        first = definitional_violation(fg)
+        if first is None:
+            violations.append(Violation(g6, f"catalog graph {name} passes the definitional oracle"))
+        elif first != (1 << fg.n) - 1:
+            v = next(u for u in range(fg.n) if not first >> u & 1)
             violations.append(
-                Violation(emit_graph6(fg), f"catalog graph {name} not found by the sweep")
+                Violation(g6, f"catalog graph {name} minus vertex {v} still fails the oracle")
             )
-        if is_strong_havel_hakimi_definitional(fg):
-            violations.append(
-                Violation(emit_graph6(fg), f"catalog graph {name} passes the definitional oracle")
-            )
-        for v in range(fg.n):
-            sub = induced_subgraph(fg, [u for u in range(fg.n) if u != v])
-            if not is_strong_havel_hakimi_definitional(sub):
-                violations.append(
-                    Violation(
-                        emit_graph6(fg),
-                        f"catalog graph {name} minus vertex {v} still fails the oracle",
-                    )
-                )
-    checked = sum(1 for _ in graphs_up_to(n_max))
-    return TheoremReport("minimal-forbidden", n_max, checked, tuple(violations))
+    return replace(report, violations=tuple(violations))
 
 
-def verify_residue_bounds(n_max: int = 7, maxine_n_max: int = 6) -> TheoremReport:
-    """residue <= alpha on every class of order <= n_max; additionally
-    residue <= M <= alpha for every achievable Maxine size on orders
-    <= maxine_n_max (full branching is exponential, hence the lower cap)."""
-    _validate_n_max(n_max, 7)
-    violations = []
-    checked = 0
-    for g in graphs_up_to(n_max):
-        checked += 1
-        g6 = emit_graph6(g)
-        r = residue(g.degree_sequence())
-        alpha = independence_number(g)
-        if r > alpha:
-            violations.append(Violation(g6, f"residue {r} exceeds alpha {alpha}"))
-        if g.n <= maxine_n_max:
-            summary = maxine_all_branches(g)
-            if r > summary.min_size:
-                violations.append(
-                    Violation(g6, f"Maxine size {summary.min_size} below residue {r}")
-                )
-            if summary.max_size > alpha:
-                violations.append(
-                    Violation(g6, f"Maxine size {summary.max_size} exceeds alpha {alpha}")
-                )
-    return TheoremReport("residue-bounds", n_max, checked, tuple(violations))
+def _residue_bounds(rec: GraphRecord) -> list[str]:
+    """residue <= alpha, and residue <= M <= alpha for every achievable
+    Maxine size."""
+    r, alpha, branches = rec.residue, rec.alpha, rec.branches
+    messages = []
+    if r > alpha:
+        messages.append(f"residue {r} exceeds alpha {alpha}")
+    if r > branches.min_size:
+        messages.append(f"Maxine size {branches.min_size} below residue {r}")
+    if branches.max_size > alpha:
+        messages.append(f"Maxine size {branches.max_size} exceeds alpha {alpha}")
+    return messages
 
 
-def verify_r_equals_alpha_on_strong_hh(n_max: int = 7) -> TheoremReport:
-    """On every in-class graph of order <= n_max: residue = alpha, and
-    every Maxine branch returns exactly the residue."""
-    _validate_n_max(n_max, 8)
-    violations = []
-    checked = 0
-    for g in graphs_up_to(n_max):
-        checked += 1
-        if strong_hh_witness(g) is not None:
-            continue
-        g6 = emit_graph6(g)
-        r = residue(g.degree_sequence())
-        alpha = independence_number(g)
-        if r != alpha:
-            violations.append(Violation(g6, f"in-class graph has residue {r} != alpha {alpha}"))
-        summary = maxine_all_branches(g)
-        if summary.achievable_sizes != (r,):
-            violations.append(
-                Violation(
-                    g6,
-                    f"Maxine sizes {summary.achievable_sizes} differ from residue {r}",
-                )
-            )
-    return TheoremReport("r-equals-alpha-S", n_max, checked, tuple(violations))
+def _r_equals_alpha(rec: GraphRecord) -> list[str]:
+    """On an in-class graph: residue = alpha, and every Maxine branch
+    returns exactly the residue."""
+    if rec.witness is not None:
+        return []
+    r, alpha = rec.residue, rec.alpha
+    messages = []
+    if r != alpha:
+        messages.append(f"in-class graph has residue {r} != alpha {alpha}")
+    sizes = rec.branches.achievable_sizes
+    if sizes != (r,):
+        messages.append(f"Maxine sizes {sizes} differ from residue {r}")
+    return messages
 
 
 def in_induced_c4(g: Graph, v: int) -> bool:
@@ -245,59 +283,48 @@ def is_induced_p5_center(g: Graph, v: int) -> bool:
     return False
 
 
-def verify_lemma_c4_or_p5(n_max: int = 7) -> TheoremReport:
-    """On every class of order <= n_max with at least one edge: any
-    maximum-degree vertex belonging to all maximum independent sets lies on
-    an induced 4-cycle or is the center of an induced 5-path."""
-    _validate_n_max(n_max, 7)
-    violations = []
-    checked = 0
-    for g in graphs_up_to(n_max):
-        if g.edge_count == 0:
-            continue
-        checked += 1
-        mis = maximum_independent_sets(g)
-        common = set(mis[0]).intersection(*map(set, mis[1:])) if len(mis) > 1 else set(mis[0])
-        dmax = max(g.degrees)
-        for v in sorted(common):
-            if g.degrees[v] != dmax:
-                continue
-            if not (in_induced_c4(g, v) or is_induced_p5_center(g, v)):
-                violations.append(
-                    Violation(
-                        emit_graph6(g),
-                        f"vertex {v} is in every maximum independent set but on no "
-                        f"induced C4 and not a P5 center",
-                    )
-                )
-    return TheoremReport("lemma-c4-p5", n_max, checked, tuple(violations))
+def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
+    """With at least one edge: any maximum-degree vertex belonging to all
+    maximum independent sets lies on an induced 4-cycle or is the center
+    of an induced 5-path. Edgeless graphs are not counted."""
+    g = rec.graph
+    if g.edge_count == 0:
+        return None
+    mis = rec.mis
+    common = set(mis[0]).intersection(*mis[1:])
+    dmax = max(g.degrees)
+    return [
+        f"vertex {v} is in every maximum independent set but on no "
+        f"induced C4 and not a P5 center"
+        for v in sorted(common)
+        if g.degrees[v] == dmax and not (in_induced_c4(g, v) or is_induced_p5_center(g, v))
+    ]
 
 
-def verify_class_chain(n_max: int = 7) -> TheoremReport:
-    """threshold => matrogenic-configuration-free => in-class, on every
-    class of order <= n_max."""
-    _validate_n_max(n_max, 7)
-    violations = []
-    checked = 0
-    for g in graphs_up_to(n_max):
-        checked += 1
-        g6 = emit_graph6(g)
-        threshold = is_threshold(g)
-        config_free = is_matrogenic_config_free(g)
-        in_class = strong_hh_witness(g) is None
-        if threshold and not config_free:
-            violations.append(Violation(g6, "threshold graph contains the configuration"))
-        if config_free and not in_class:
-            violations.append(Violation(g6, "configuration-free graph is outside the class"))
-    return TheoremReport("class-chain", n_max, checked, tuple(violations))
+def _class_chain(rec: GraphRecord) -> list[str]:
+    """threshold => matrogenic-configuration-free => in-class."""
+    messages = []
+    if rec.threshold and not rec.config_free:
+        messages.append("threshold graph contains the configuration")
+    if rec.config_free and rec.witness is not None:
+        messages.append("configuration-free graph is outside the class")
+    return messages
 
 
 # Registry for the command-line front end: id -> (check, default n_max).
 THEOREM_CHECKS: dict[str, tuple[Callable[[int], TheoremReport], int]] = {
-    "forb-equivalence": (verify_forb_equivalence, 7),
-    "minimal-forbidden": (verify_minimal_forbidden, 6),
-    "residue-bounds": (verify_residue_bounds, 7),
-    "r-equals-alpha-S": (verify_r_equals_alpha_on_strong_hh, 7),
-    "lemma-c4-p5": (verify_lemma_c4_or_p5, 7),
-    "class-chain": (verify_class_chain, 7),
+    "forb-equivalence": (partial(_sweep, "forb-equivalence", predicate=_forb_equivalence), 7),
+    "minimal-forbidden": (_verify_minimal_forbidden, 6),
+    "residue-bounds": (partial(_sweep, "residue-bounds", predicate=_residue_bounds), 7),
+    "r-equals-alpha-S": (partial(_sweep, "r-equals-alpha-S", predicate=_r_equals_alpha), 7),
+    "lemma-c4-p5": (partial(_sweep, "lemma-c4-p5", predicate=_lemma_c4_or_p5), 7),
+    "class-chain": (partial(_sweep, "class-chain", predicate=_class_chain), 7),
 }
+
+
+def verify(check_id: str, n_max: int | None = None) -> TheoremReport:
+    """Run the registered check check_id over every class of order
+    1..n_max (default: the check's default order). The registry is read at
+    call time, so a wrapper installed in THEOREM_CHECKS sees the call."""
+    check, default_n = THEOREM_CHECKS[check_id]
+    return check(default_n if n_max is None else n_max)

@@ -21,12 +21,12 @@ ALL_MIS_MAX_N = 12
 BRANCH_MAX_N = 9
 
 
-def independence_number(g: Graph, max_n: int = ALPHA_MAX_N) -> int:
+def independence_number(g: Graph) -> int:
     """Exact independence number by branch and bound: branch on a vertex of
     maximum degree (include or exclude), prune with a greedy clique-cover
     upper bound."""
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds branch-and-bound bound {max_n}")
+    if g.n > ALPHA_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds branch-and-bound bound {ALPHA_MAX_N}")
     n, adj = g.n, g.adj
     if n == 0:
         return 0
@@ -74,20 +74,20 @@ def independence_number(g: Graph, max_n: int = ALPHA_MAX_N) -> int:
     return best
 
 
-def independence_number_bitmask(g: Graph, max_n: int = BITMASK_MAX_N) -> int:
+def independence_number_bitmask(g: Graph) -> int:
     """Exhaustive oracle: sweep all 2^n vertex subsets, extending the
     independence record one lowest bit at a time. Independent of the
     branch-and-bound route."""
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds bitmask-oracle bound {max_n}")
+    if g.n > BITMASK_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds bitmask-oracle bound {BITMASK_MAX_N}")
     return _subset_sweep(g)[1]
 
 
-def maximum_independent_sets(g: Graph, max_n: int = ALL_MIS_MAX_N) -> list[tuple[int, ...]]:
+def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """Every independent set of maximum size, each as a sorted vertex
     tuple, listed in lexicographic order."""
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds exhaustive bound {max_n}")
+    if g.n > ALL_MIS_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds exhaustive bound {ALL_MIS_MAX_N}")
     size, best = _subset_sweep(g)
     return sorted(tuple(iter_bits(m)) for m, s in enumerate(size) if s == best)
 
@@ -181,10 +181,10 @@ class MaxineBranchSummary:
     branch_count: int
 
 
-def maxine_all_branches(g: Graph, max_n: int = BRANCH_MAX_N) -> MaxineBranchSummary:
+def maxine_all_branches(g: Graph) -> MaxineBranchSummary:
     """Exact set of independent-set sizes achievable by Maxine on g."""
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds branch-exploration bound {max_n}")
+    if g.n > BRANCH_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds branch-exploration bound {BRANCH_MAX_N}")
     adj = g.adj
     memo: dict[int, tuple[frozenset[int], int]] = {}
 

@@ -5,10 +5,12 @@ of its neighbors has smaller degree than any of its non-neighbors; deleting
 such a vertex changes the degree sequence exactly like one reduction step.
 A graph is *strong Havel-Hakimi* when every maximum-degree vertex of every
 induced subgraph has the property. Two independent recognizers are
-provided: the definitional subset sweep, and a scan for the nine minimal
-forbidden induced subgraphs. The module also tests the five-vertex
-configuration whose absence characterizes matrogenic graphs, and threshold
-graphs via their {2K2, C4, P4}-free characterization.
+provided: the definitional subset sweep, which also names the first
+violating subset, and a scan for the nine minimal forbidden induced
+subgraphs. The module also tests the five-vertex configuration whose
+absence characterizes matrogenic graphs, and threshold graphs via their
+{2K2, C4, P4}-free characterization. Every induced-subgraph scan goes
+through one helper.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ def has_hh_property(g: Graph, v: int) -> bool:
     return min(nbr_degs) >= max(non_degs)
 
 
-def is_strong_havel_hakimi_definitional(g: Graph, max_n: int = DEFINITIONAL_MAX_N) -> bool:
-    """Definitional oracle: sweep every nonempty vertex subset and demand
-    the Havel-Hakimi property of every maximum-degree vertex within it.
-    Cost 2^n * poly(n), hence the scale bound."""
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds definitional-oracle bound {max_n}")
+def definitional_violation(g: Graph) -> int | None:
+    """Definitional oracle: the first nonempty vertex subset, as a bitmask
+    in increasing numeric order, on which some maximum-degree vertex of the
+    induced subgraph lacks the Havel-Hakimi property; None when there is
+    none, that is, when g is strong Havel-Hakimi. Every proper subset of a
+    set has a smaller mask, so g is minimal forbidden exactly when the
+    answer is its full vertex set. Cost 2^n * poly(n), hence the scale
+    bound."""
+    if g.n > DEFINITIONAL_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds definitional-oracle bound {DEFINITIONAL_MAX_N}")
     n, adj = g.n, g.adj
     for mask in range(1, 1 << n):
         verts = list(iter_bits(mask))
@@ -60,8 +66,13 @@ def is_strong_havel_hakimi_definitional(g: Graph, max_n: int = DEFINITIONAL_MAX_
             mn = min((adj[u] & mask).bit_count() for u in iter_bits(nbm))
             mx = max((adj[u] & mask).bit_count() for u in iter_bits(non))
             if mn < mx:
-                return False
-    return True
+                return mask
+    return None
+
+
+def is_strong_havel_hakimi_definitional(g: Graph) -> bool:
+    """Definitional recognizer: no vertex subset violates the property."""
+    return definitional_violation(g) is None
 
 
 @dataclass(frozen=True)
@@ -73,49 +84,51 @@ class ForbiddenWitness:
     vertices: tuple[int, ...]
 
 
-def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """First vertex subset of g (lexicographic order) inducing a copy of h,
-    or None."""
-    k = h.n
-    if k > g.n:
-        return None
-    if k == 0:
-        return ()
-    target = h.degree_sequence()
-    for sub in itertools.combinations(range(g.n), k):
-        mask = 0
-        for v in sub:
-            mask |= 1 << v
-        degs = tuple(sorted(((g.adj[v] & mask).bit_count() for v in sub), reverse=True))
-        if degs != target:
-            continue
-        if is_isomorphic(induced_subgraph(g, sub), h):
-            return sub
+def _by_size(targets: list[Graph]) -> list[tuple[int, list]]:
+    """Targets grouped by order, ascending: (order, [(index into targets,
+    target, its degree sequence)])."""
+    groups: dict[int, list] = {}
+    for i, h in enumerate(targets):
+        groups.setdefault(h.n, []).append((i, h, h.degree_sequence()))
+    return sorted(groups.items())
+
+
+def _first_induced(g: Graph, groups) -> tuple[int, tuple[int, ...]] | None:
+    """First induced copy of a target in g, as (target index, sorted host
+    vertices): subsets by increasing size, lexicographically within a
+    size, target order within a subset. Degree sequences filter before the
+    isomorphism test. groups comes from _by_size."""
+    for size, members in groups:
+        if size > g.n:
+            break
+        for sub in itertools.combinations(range(g.n), size):
+            mask = 0
+            for v in sub:
+                mask |= 1 << v
+            degs = tuple(sorted(((g.adj[v] & mask).bit_count() for v in sub), reverse=True))
+            for i, h, hdegs in members:
+                if degs == hdegs and is_isomorphic(induced_subgraph(g, sub), h):
+                    return i, sub
     return None
 
 
-_FORB_BY_SIZE: dict[int, list[tuple[str, Graph, tuple[int, ...]]]] = {}
-for _name, _fg in FORBIDDEN_SUBGRAPHS.items():
-    _FORB_BY_SIZE.setdefault(_fg.n, []).append((_name, _fg, _fg.degree_sequence()))
+def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """First vertex subset of g (lexicographic order) inducing a copy of h,
+    or None."""
+    hit = _first_induced(g, _by_size([h]))
+    return None if hit is None else hit[1]
+
+
+_FORB_NAMES = list(FORBIDDEN_SUBGRAPHS)
+_FORB_GROUPS = _by_size(list(FORBIDDEN_SUBGRAPHS.values()))
 
 
 def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
     """Scan for an induced forbidden subgraph: subsets by increasing size
     (5 before 6), lexicographically within a size, catalog order within a
     subset. Returns the first hit, or None when g is in the class."""
-    for size in sorted(_FORB_BY_SIZE):
-        if size > g.n:
-            break
-        members = _FORB_BY_SIZE[size]
-        for sub in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            degs = tuple(sorted(((g.adj[v] & mask).bit_count() for v in sub), reverse=True))
-            for name, fg, fdegs in members:
-                if degs == fdegs and is_isomorphic(induced_subgraph(g, sub), fg):
-                    return ForbiddenWitness(name, sub)
-    return None
+    hit = _first_induced(g, _FORB_GROUPS)
+    return None if hit is None else ForbiddenWitness(_FORB_NAMES[hit[0]], hit[1])
 
 
 def is_strong_havel_hakimi(g: Graph) -> bool:
@@ -164,13 +177,12 @@ def is_matrogenic_config_free(g: Graph) -> bool:
     return find_matrogenic_config(g) is None
 
 
-_THRESHOLD_OBSTRUCTIONS = (
-    disjoint_union(complete(2), complete(2)),  # 2K2
-    cycle(4),
-    path(4),
+_THRESHOLD_GROUPS = _by_size(
+    [disjoint_union(complete(2), complete(2)), cycle(4), path(4)]  # 2K2, C4, P4
 )
 
 
 def is_threshold(g: Graph) -> bool:
-    """True iff g has no induced 2K2, C4, or P4."""
-    return all(contains_induced(g, f) is None for f in _THRESHOLD_OBSTRUCTIONS)
+    """True iff g has no induced 2K2, C4, or P4 (one pass over the
+    4-subsets)."""
+    return _first_induced(g, _THRESHOLD_GROUPS) is None

@@ -17,14 +17,7 @@ from hhresidue.enumeration import (
 )
 from hhresidue.graph6 import emit_graph6, parse_graph6
 from hhresidue.graphs import Graph, induced_subgraph, is_isomorphic
-from hhresidue.harness import (
-    minimal_forbidden,
-    verify_class_chain,
-    verify_forb_equivalence,
-    verify_lemma_c4_or_p5,
-    verify_r_equals_alpha_on_strong_hh,
-    verify_residue_bounds,
-)
+from hhresidue.harness import minimal_forbidden, verify
 from hhresidue.independence import (
     independence_number,
     independence_number_bitmask,
@@ -54,7 +47,7 @@ def test_criterion_01_worked_example_fidelity(capsys):
 
 
 def test_criterion_02_forb_equivalence_n7():
-    rep = verify_forb_equivalence(7)
+    rep = verify("forb-equivalence", 7)
     report("2 recognizer equivalence n<=7", rep.passed and rep.graphs_checked == 1252)
 
 
@@ -76,19 +69,19 @@ def test_criterion_03_minimal_forbidden_oracle():
 
 
 def test_criterion_04_residue_bounds():
-    rep = verify_residue_bounds(7, maxine_n_max=6)
+    rep = verify("residue-bounds", 7)
     report("4 residue bounds", rep.passed)
 
 
 def test_criterion_05_r_equals_alpha_on_class_n7():
-    rep = verify_r_equals_alpha_on_strong_hh(7)
+    rep = verify("r-equals-alpha-S", 7)
     report("5 residue equals alpha on the class, n<=7", rep.passed)
 
 
 def test_criterion_05_slow_extension_n8():
     started = time.monotonic()
     classes = len(enumerate_graphs(8))
-    rep = verify_r_equals_alpha_on_strong_hh(8)
+    rep = verify("r-equals-alpha-S", 8)
     elapsed = time.monotonic() - started
     report(
         f"5 residue equals alpha on the class, n<=8 ({classes} classes, {elapsed:.0f}s)",
@@ -104,12 +97,12 @@ def test_criterion_06_maxine_on_p5():
 
 
 def test_criterion_07_lemma_c4_p5():
-    rep = verify_lemma_c4_or_p5(7)
+    rep = verify("lemma-c4-p5", 7)
     report("7 C4-or-P5-center lemma", rep.passed)
 
 
 def test_criterion_08_class_chain():
-    rep = verify_class_chain(7)
+    rep = verify("class-chain", 7)
     report("8 threshold => config-free => in-class", rep.passed)
 
 

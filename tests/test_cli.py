@@ -231,6 +231,25 @@ def test_verify_all_registered_theorems(capsys):
         assert json.loads(out)["theorem_id"] == theorem
 
 
+def test_verify_all_reports_every_check_in_order(capsys):
+    from hhresidue.harness import THEOREM_CHECKS
+
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "5")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["theorem_id"] for r in reports] == list(THEOREM_CHECKS)
+    assert all(r["n_max"] == 5 and r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("theorem", ["class-chain", "all"])
+@pytest.mark.parametrize("n", ["0", "9"])
+def test_verify_out_of_range_n_exits_2(capsys, theorem, n):
+    code, out, err = run(capsys, "verify", theorem, "--max-n", n)
+    assert code == 2
+    assert out == ""
+    assert f"n_max {n} outside supported range 1..8" in err
+
+
 @pytest.mark.parametrize("module", ["hhresidue.cli", "hhresidue"])
 def test_python_m_entry_points(module):
     paths = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]

@@ -1,5 +1,6 @@
 """graph6 codec: hand-checked strings, round trips, error reporting."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -75,6 +76,14 @@ def test_round_trip(g):
     s = emit_graph6(g)
     assert parse_graph6(s) == g
     assert emit_graph6(parse_graph6(s)) == s
+
+
+@given(st.text())
+def test_parse_arbitrary_text_raises_only_graph6_error(text):
+    try:
+        parse_graph6(text)
+    except Graph6Error:
+        pass
 
 
 def test_round_trip_on_enumerated_graphs():

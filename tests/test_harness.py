@@ -3,6 +3,7 @@ acceptance suite)."""
 
 import json
 
+from hhresidue import harness
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, cycle, pan4, path
 from hhresidue.graphs import is_isomorphic
 from hhresidue.harness import (
@@ -10,10 +11,7 @@ from hhresidue.harness import (
     in_induced_c4,
     is_induced_p5_center,
     minimal_forbidden,
-    verify_class_chain,
-    verify_forb_equivalence,
-    verify_minimal_forbidden,
-    verify_residue_bounds,
+    verify,
 )
 
 
@@ -26,7 +24,7 @@ def test_minimal_forbidden_up_to_5():
 
 
 def test_verify_minimal_forbidden_small():
-    report = verify_minimal_forbidden(6)
+    report = verify("minimal-forbidden", 6)
     assert report.passed
 
 
@@ -38,19 +36,44 @@ def test_all_checks_pass_at_n5():
         assert report.n_max == 5
 
 
+def test_checks_share_one_record_per_class(monkeypatch):
+    """All six checks read one cached record per class: from an empty
+    record cache, the witness scan runs once per class of order <= 6 (208
+    classes), and a second run of every check adds no scan."""
+    scanned = []
+    real = harness.strong_hh_witness
+
+    def counting(g):
+        scanned.append(g)
+        return real(g)
+
+    monkeypatch.setattr(harness, "_records", {})
+    monkeypatch.setattr(harness, "strong_hh_witness", counting)
+    for theorem_id in THEOREM_CHECKS:
+        assert verify(theorem_id, 6).passed, theorem_id
+    assert len(scanned) == len(set(scanned)) == 208
+    for theorem_id in THEOREM_CHECKS:
+        verify(theorem_id, 6)
+    assert len(scanned) == 208
+
+
+def test_verify_uses_default_order():
+    assert verify("minimal-forbidden").n_max == 6
+
+
 def test_reports_are_deterministic():
-    a = verify_class_chain(4)
-    b = verify_class_chain(4)
+    a = verify("class-chain", 4)
+    b = verify("class-chain", 4)
     assert a == b
 
 
 def test_counts_examples():
-    assert verify_forb_equivalence(4).graphs_checked == 18
-    assert verify_residue_bounds(5).graphs_checked == 52
+    assert verify("forb-equivalence", 4).graphs_checked == 18
+    assert verify("residue-bounds", 5).graphs_checked == 52
 
 
 def test_report_dict_schema():
-    report = verify_forb_equivalence(3)
+    report = verify("forb-equivalence", 3)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload == {
         "theorem_id": "forb-equivalence",

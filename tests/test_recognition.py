@@ -11,9 +11,10 @@ from hhresidue.catalog import (
     path,
 )
 from hhresidue.degseq import hh_step
-from hhresidue.graphs import Graph, induced_subgraph, is_isomorphic
+from hhresidue.graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.recognition import (
     contains_induced,
+    definitional_violation,
     find_matrogenic_config,
     has_hh_property,
     is_matrogenic_config_free,
@@ -130,6 +131,34 @@ def test_small_graphs_all_in_class():
 def test_definitional_scale_bound():
     with pytest.raises(ValueError):
         is_strong_havel_hakimi_definitional(Graph(13))
+
+
+def minimal_forbidden_by_deletion(g):
+    """Oracle: outside the class by the definitional recognizer, with every
+    one-vertex deletion inside."""
+    if is_strong_havel_hakimi_definitional(g):
+        return False
+    return all(
+        is_strong_havel_hakimi_definitional(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+        for v in range(g.n)
+    )
+
+
+@given(graphs(min_n=1, max_n=7))
+def test_first_violation_is_full_set_iff_minimal_forbidden(g):
+    first = definitional_violation(g)
+    assert (first == (1 << g.n) - 1) == minimal_forbidden_by_deletion(g)
+    if first is not None:
+        # a maximum-degree vertex of the induced subgraph lacks the property
+        sub = induced_subgraph(g, iter_bits(first))
+        dmax = max(sub.degrees)
+        assert any(sub.degrees[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n))
+
+
+def test_catalog_first_violation_is_full_set():
+    for name, fg in FORBIDDEN_SUBGRAPHS.items():
+        assert minimal_forbidden_by_deletion(fg), name
+        assert definitional_violation(fg) == (1 << fg.n) - 1, name
 
 
 def test_recognizers_agree_up_to_5():
