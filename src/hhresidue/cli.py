@@ -91,10 +91,12 @@ def _format_step(step: tuple[int, ...]) -> str:
 
 
 def cmd_residue(args: argparse.Namespace) -> int:
+    tokens = args.sequence.replace(",", " ").split()
     try:
-        terms = [int(tok) for tok in args.sequence.replace(",", " ").split()]
-        if any(t < 0 for t in terms):
-            raise ValueError("negative term")
+        # int() alone would also take "1_0", "+1" and non-ASCII digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError("not a run of ASCII digits")
+        terms = [int(tok) for tok in tokens]  # too many digits: ValueError
     except ValueError:
         print(f"error: {args.sequence!r} is not a comma-separated list of "
               "nonnegative integers", file=sys.stderr)

@@ -66,6 +66,18 @@ def test_residue_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "sequence",
+    ["1_0,1", "+1,+1", "\u0661,\u0661", "9" * 5000],
+    ids=["underscore", "plus-sign", "arabic-indic-digits", "too-many-digits"],
+)
+def test_residue_accepts_only_ascii_digit_tokens(capsys, sequence):
+    code, out, err = run(capsys, "residue", sequence)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative integers" in err
+
+
 # --- analyze ---------------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Degree-sequence reduction, graphicality tests, residue."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 
+import hhresidue.degseq
 from hhresidue.catalog import complete, cycle
 from hhresidue.degseq import (
     ALL_ZERO,
@@ -16,6 +18,8 @@ from hhresidue.degseq import (
     is_graphical_erdos_gallai,
     residue,
 )
+from hhresidue.graphs import Graph
+from hhresidue.harness import GraphRecord
 
 from strategies import degree_term_lists, graphs
 
@@ -34,6 +38,39 @@ def step_subtracting_last_ties(seq):
         for i in chosen:
             rest[i] -= 1
     return tuple(sorted(rest, reverse=True))
+
+
+def random_graph(rng, n, avg_degree):
+    """A random graph with n * avg_degree / 2 distinct edges."""
+    edges = set()
+    while len(edges) < n * avg_degree // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+def long_sequences(seed):
+    """Shuffled sequences of 300..3,000 terms with their kind: "graphical"
+    (random-graph degrees), "odd-sum" (one of those terms raised by one) and
+    "overfull" (k hubs just over the Erdos-Gallai bound at k, over a
+    graphical rest; the sum is even, so only a later step of the reduction
+    fails)."""
+    rng = random.Random(seed)
+    out = []
+    for n in (300, 1000, 3000):
+        out.append(("graphical", list(random_graph(rng, n, 8).degrees)))
+        odd = list(random_graph(rng, n, 6).degrees)
+        odd[rng.randrange(n)] += 1
+        out.append(("odd-sum", odd))
+        k = n // 4 & ~1  # even, so the hubs add an even amount to the sum
+        rest = list(random_graph(rng, n - k, 6).degrees)
+        slack = sum(min(d, k) for d in rest)
+        hub = k + slack // k  # k * hub > k(k-1) + slack
+        out.append(("overfull", [hub] * k + rest))
+    for _, terms in out:
+        rng.shuffle(terms)
+    return out
 
 
 # --- hh_step -----------------------------------------------------------------
@@ -158,7 +195,10 @@ def test_oracles_agree_exhaustively_full_range():
     for length in range(11):
         for terms in itertools.combinations_with_replacement(range(10), length):
             d = tuple(sorted(terms, reverse=True))
-            assert is_graphical(d) == is_graphical_erdos_gallai(d), d
+            graphical = is_graphical(d)
+            assert graphical == is_graphical_erdos_gallai(d), d
+            if graphical:
+                assert residue(d) == hh_reduce(d).residue, d
 
 
 @given(degree_term_lists())
@@ -191,3 +231,57 @@ def test_residue_rejects_non_graphical():
 def test_residue_bounds_for_graphs(g):
     r = residue(g.degree_sequence())
     assert 1 <= r <= g.n
+
+
+# --- histogram reduction against the trace and third-party oracles ----------
+
+
+@given(degree_term_lists(max_term=20))
+def test_histogram_reduction_matches_trace(terms):
+    # terms above n - 1 are drawn too, so every outcome of the trace occurs
+    trace = hh_reduce(terms)
+    assert is_graphical(terms) == trace.is_graphical
+    if trace.is_graphical:
+        assert residue(terms) == trace.residue
+    else:
+        with pytest.raises(ValueError) as err:
+            residue(terms)
+        assert str(err.value) == f"sequence {trace.steps[0]} is not graphical"
+
+
+def test_huge_term_is_rejected_without_sizing_by_it():
+    assert not is_graphical((10**20, 1))
+    with pytest.raises(ValueError):
+        residue((10**20, 1))
+
+
+def test_residue_never_runs_the_trace(monkeypatch):
+    """residue, is_graphical and the record's residue answer on a
+    1,500-term sequence with hh_step and hh_reduce disabled."""
+    g = random_graph(random.Random(1500), 1500, 8)
+    d = g.degree_sequence()
+    want = hh_reduce(d).residue
+
+    def disabled(*args):
+        raise AssertionError("the trace was run")
+
+    monkeypatch.setattr(hhresidue.degseq, "hh_step", disabled)
+    monkeypatch.setattr(hhresidue.degseq, "hh_reduce", disabled)
+    assert is_graphical(d)
+    assert residue(d) == want
+    assert GraphRecord(g).residue == want
+
+
+def test_is_graphical_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    small = [
+        (None, list(terms))
+        for length in range(7)
+        for terms in itertools.combinations_with_replacement(range(6), length)
+    ]
+    for kind, terms in small + long_sequences(4):
+        ours = is_graphical(terms)
+        assert ours == nx.is_valid_degree_sequence_havel_hakimi(terms), terms
+        assert ours == nx.is_valid_degree_sequence_erdos_gallai(terms), terms
+        if kind is not None:
+            assert ours == (kind == "graphical"), kind
