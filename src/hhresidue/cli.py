@@ -18,6 +18,7 @@ reported as the explicit string "skipped: scale", never silently omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -141,50 +142,58 @@ def _read_tokens(path: str) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Read the whole input first (so --out may name the input, and a
+    missing input never truncates --out), then write each record as soon
+    as it is computed and report each parse error on stderr as it occurs;
+    exit 2 at the end when any line failed."""
     try:
         tokens = _read_tokens(args.input)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 2
 
-    records: list[tuple[int, dict | None, str, str | None]] = []
-    had_errors = False
+    failed = []
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            wrote = False
+            for line in _analysis_lines(tokens, args, failed):
+                print(line, file=fh, flush=True)
+                wrote = True
+            if not wrote:
+                print(file=fh)  # an empty JSON report is one empty line
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 2 if failed else 0
+
+
+def _analysis_lines(tokens: list[str], args: argparse.Namespace, failed: list[int]):
+    """The report's lines, one per nonempty input line (after the CSV
+    header), each computed when it is asked for. A line that does not
+    parse is reported on stderr at once and its number appended to
+    failed."""
+    if args.format == "csv":
+        yield ",".join(CSV_COLUMNS)
     for lineno, token in enumerate(tokens, start=1):
         if not token:
             continue
         try:
             g = parse_graph6(token)
         except Graph6Error as exc:
-            records.append((lineno, None, token, str(exc)))
-            had_errors = True
+            print(f"line {lineno}: {exc}", file=sys.stderr)
+            failed.append(lineno)
+            if args.format == "json":
+                yield json.dumps({"line": lineno, "graph6": token, "error": str(exc)})
+            else:
+                row = [token] + [""] * (len(CSV_COLUMNS) - 2) + [str(exc) or "parse error"]
+                yield ",".join(_csv_quote(cell) for cell in row)
             continue
-        records.append((lineno, analyze_graph(g, args.strategy, args.seed), token, None))
-
-    out_lines: list[str] = []
-    if args.format == "json":
-        for lineno, rec, token, err in records:
-            if rec is None:
-                payload: dict = {"line": lineno, "graph6": token, "error": err}
-            else:
-                payload = {"line": lineno, **rec}
-            out_lines.append(json.dumps(payload))
-    else:
-        out_lines.append(",".join(CSV_COLUMNS))
-        for lineno, rec, token, err in records:
-            if rec is None:
-                row = [token] + [""] * (len(CSV_COLUMNS) - 2) + [err or "parse error"]
-            else:
-                row = [_csv_cell(rec[column]) for column in CSV_COLUMNS[:-1]] + [""]
-            out_lines.append(",".join(_csv_quote(cell) for cell in row))
-    if not _emit("\n".join(out_lines), args.out):
-        return 2
-
-    if had_errors:
-        for lineno, rec, token, err in records:
-            if rec is None:
-                print(f"line {lineno}: {err}", file=sys.stderr)
-        return 2
-    return 0
+        rec = analyze_graph(g, args.strategy, args.seed)
+        if args.format == "json":
+            yield json.dumps({"line": lineno, **rec})
+        else:
+            row = [_csv_cell(rec[column]) for column in CSV_COLUMNS[:-1]] + [""]
+            yield ",".join(_csv_quote(cell) for cell in row)
 
 
 def _csv_quote(cell: str) -> str:

@@ -9,19 +9,30 @@ provided: the definitional subset sweep, which also names the first
 violating subset, and a scan for the nine minimal forbidden induced
 subgraphs. The module also tests the five-vertex configuration whose
 absence characterizes matrogenic graphs, and threshold graphs via their
-{2K2, C4, P4}-free characterization. Every induced-subgraph scan goes
-through one helper.
+{2K2, C4, P4}-free characterization.
+
+Every induced-subgraph scan goes through one helper, _first_induced. On
+first use for a tuple of targets it builds a table of every labelled copy
+of every target, each coded with one bit per position pair, together with
+the set of codes of each copy's first m positions. The scan grows vertex
+subsets one vertex at a time in lexicographic order and drops a prefix as
+soon as its code begins no copy, so a subset is never built as a graph and
+no isomorphism test runs. Targets of contains_induced are limited to
+INDUCED_TARGET_MAX_N vertices: a table holds up to k! codes per k-vertex
+target (about 0.03 s to build at k = 7, 0.3 s at k = 8).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN_SUBGRAPHS, complete, cycle, disjoint_union, path
-from .graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
+from .graphs import Graph, iter_bits
 
 DEFINITIONAL_MAX_N = 12
+INDUCED_TARGET_MAX_N = 7
 
 
 def has_hh_property(g: Graph, v: int) -> bool:
@@ -84,50 +95,110 @@ class ForbiddenWitness:
     vertices: tuple[int, ...]
 
 
-def _by_size(targets: list[Graph]) -> list[tuple[int, list]]:
-    """Targets grouped by order, ascending: (order, [(index into targets,
-    target, its degree sequence)])."""
-    groups: dict[int, list] = {}
+def _copy_code(h: Graph, perm: tuple[int, ...]) -> int:
+    """Code of the labelled copy of h whose position p holds vertex
+    perm[p]: the bit of position pair i < j is j*(j-1)//2 + i, so the code
+    of the first m positions is the code's low m*(m-1)//2 bits."""
+    code = 0
+    for j in range(1, len(perm)):
+        a = h.adj[perm[j]]
+        for i in range(j):
+            if a >> perm[i] & 1:
+                code |= 1 << (j * (j - 1) // 2 + i)
+    return code
+
+
+@functools.lru_cache(maxsize=32)
+def _copy_tables(targets: tuple[Graph, ...]) -> tuple:
+    """Per target order k, ascending: (k, prefixes, full). full maps the
+    code of every labelled copy of a k-vertex target to the index of the
+    first target it copies; prefixes[m] (m < k) holds the codes of the
+    copies' first m positions. Built on first use, k! codes per target."""
+    by_order: dict[int, list[int]] = {}
     for i, h in enumerate(targets):
-        groups.setdefault(h.n, []).append((i, h, h.degree_sequence()))
-    return sorted(groups.items())
+        by_order.setdefault(h.n, []).append(i)
+    tables = []
+    for k, members in sorted(by_order.items()):
+        full: dict[int, int] = {}
+        for i in members:
+            for perm in itertools.permutations(range(k)):
+                full.setdefault(_copy_code(targets[i], perm), i)
+        prefixes = [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)]
+        tables.append((k, prefixes, full))
+    return tuple(tables)
 
 
-def _first_induced(g: Graph, groups) -> tuple[int, tuple[int, ...]] | None:
+def _first_induced(g: Graph, targets: tuple[Graph, ...]) -> tuple[int, tuple[int, ...]] | None:
     """First induced copy of a target in g, as (target index, sorted host
     vertices): subsets by increasing size, lexicographically within a
-    size, target order within a subset. Degree sequences filter before the
-    isomorphism test. groups comes from _by_size."""
-    for size, members in groups:
-        if size > g.n:
+    size, target order within a subset.
+
+    For each target order k, k-subsets grow one vertex at a time in
+    lexicographic order, and the code of the chosen prefix (see
+    _copy_code) grows by the new vertex's row of adjacencies to the
+    vertices before it. A prefix whose code is not in the table's set for
+    its length begins no labelled copy of a target, so it is dropped with
+    every subset extending it; a full code found in the table is a copy of
+    the target it maps to."""
+    n, adj = g.n, g.adj
+    for k, prefixes, full in _copy_tables(targets):
+        if k > n:
             break
-        for sub in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            degs = tuple(sorted(((g.adj[v] & mask).bit_count() for v in sub), reverse=True))
-            for i, h, hdegs in members:
-                if degs == hdegs and is_isomorphic(induced_subgraph(g, sub), h):
-                    return i, sub
+        if k == 0:
+            return full[0], ()
+        hit = _first_copy(adj, n, k, prefixes, full)
+        if hit:
+            return hit
     return None
+
+
+def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, int]):
+    """The scan of _first_induced for one order k >= 1. rows[v] holds v's
+    adjacencies to the chosen prefix, one bit per position."""
+    chosen: list[int] = []
+
+    def extend(m: int, code: int, start: int, rows: list[int]):
+        shift = m * (m - 1) // 2
+        stop = n - k + m + 1
+        if m == k - 1:
+            for v in range(start, stop):
+                i = full.get(code | rows[v] << shift)
+                if i is not None:
+                    return i, (*chosen, v)
+            return None
+        level, bit = prefixes[m + 1], 1 << m
+        for v in range(start, stop):
+            c = code | rows[v] << shift
+            if c in level:
+                a = adj[v]
+                chosen.append(v)
+                hit = extend(m + 1, c, v + 1, [r | bit if a >> w & 1 else r for w, r in enumerate(rows)])
+                chosen.pop()
+                if hit:
+                    return hit
+        return None
+
+    return extend(0, 0, 0, [0] * n)
 
 
 def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """First vertex subset of g (lexicographic order) inducing a copy of h,
     or None."""
-    hit = _first_induced(g, _by_size([h]))
+    if h.n > INDUCED_TARGET_MAX_N:
+        raise ValueError(f"target order {h.n} exceeds induced-scan target bound {INDUCED_TARGET_MAX_N}")
+    hit = _first_induced(g, (h,))
     return None if hit is None else hit[1]
 
 
 _FORB_NAMES = list(FORBIDDEN_SUBGRAPHS)
-_FORB_GROUPS = _by_size(list(FORBIDDEN_SUBGRAPHS.values()))
+_FORB_TARGETS = tuple(FORBIDDEN_SUBGRAPHS.values())
 
 
 def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
     """Scan for an induced forbidden subgraph: subsets by increasing size
     (5 before 6), lexicographically within a size, catalog order within a
     subset. Returns the first hit, or None when g is in the class."""
-    hit = _first_induced(g, _FORB_GROUPS)
+    hit = _first_induced(g, _FORB_TARGETS)
     return None if hit is None else ForbiddenWitness(_FORB_NAMES[hit[0]], hit[1])
 
 
@@ -177,12 +248,10 @@ def is_matrogenic_config_free(g: Graph) -> bool:
     return find_matrogenic_config(g) is None
 
 
-_THRESHOLD_GROUPS = _by_size(
-    [disjoint_union(complete(2), complete(2)), cycle(4), path(4)]  # 2K2, C4, P4
-)
+_THRESHOLD_TARGETS = (disjoint_union(complete(2), complete(2)), cycle(4), path(4))  # 2K2, C4, P4
 
 
 def is_threshold(g: Graph) -> bool:
     """True iff g has no induced 2K2, C4, or P4 (one pass over the
     4-subsets)."""
-    return _first_induced(g, _THRESHOLD_GROUPS) is None
+    return _first_induced(g, _THRESHOLD_TARGETS) is None

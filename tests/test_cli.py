@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from hhresidue.catalog import cycle, path
-from hhresidue.cli import main
+from hhresidue.cli import CSV_COLUMNS, main
 from hhresidue.graph6 import emit_graph6
 
 P5_G6 = emit_graph6(path(5))
@@ -186,6 +186,44 @@ def test_analyze_non_ascii_byte_reports_line(tmp_path, capsys):
     assert "byte 195" in records[1]["error"] and "offset 1" in records[1]["error"]
     assert records[2]["graph6"] == C5_G6
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_analyze_writes_each_record_before_parsing_the_next(tmp_path, capsys, monkeypatch, to_file):
+    """Each record reaches stdout or --out, and each parse error stderr,
+    before the next line is parsed."""
+    from hhresidue import cli
+
+    src = write_lines(tmp_path, ["A_", "!!bad!!", C5_G6])
+    dest = tmp_path / "report.jsonl"
+    real_parse = cli.parse_graph6
+    out, err, seen = [], [], []
+
+    def parse(token):
+        captured = capsys.readouterr()
+        out.append(captured.out)
+        err.append(captured.err)
+        written = (dest.read_text() if dest.exists() else "") if to_file else "".join(out)
+        seen.append((written, "".join(err)))
+        return real_parse(token)
+
+    monkeypatch.setattr(cli, "parse_graph6", parse)
+    argv = ["analyze", "--input", src] + (["--out", str(dest)] if to_file else [])
+    assert main(argv) == 2
+    (out1, err1), (out2, err2), (out3, err3) = seen
+    assert out1 == "" and err1 == ""
+    assert [json.loads(line)["line"] for line in out2.splitlines()] == [1]
+    assert err2 == ""
+    assert [json.loads(line)["line"] for line in out3.splitlines()] == [1, 2]
+    assert err3 == "line 2: " + json.loads(out3.splitlines()[1])["error"] + "\n"
+
+
+def test_analyze_empty_input_writes_one_empty_line(tmp_path, capsys):
+    src = tmp_path / "empty.g6"
+    src.write_bytes(b"")
+    assert run(capsys, "analyze", "--input", str(src)) == (0, "\n", "")
+    code, out, _ = run(capsys, "analyze", "--input", str(src), "--format", "csv")
+    assert (code, out) == (0, ",".join(CSV_COLUMNS) + "\n")
 
 
 def test_analyze_bad_input_keeps_existing_out_file(tmp_path, capsys):

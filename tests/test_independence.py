@@ -1,5 +1,7 @@
 """Exact independence numbers and the Maxine heuristic."""
 
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -53,6 +55,28 @@ def test_alpha_routes_agree(g):
     a = independence_number(g)
     assert a == independence_number_bitmask(g)
     assert a == brute_alpha(g)
+
+
+def test_alpha_matches_networkx_clique_of_complement():
+    """alpha(g) is the largest clique of the complement, by networkx, on
+    every class of order <= 7 and on seeded G(n, p) graphs up to n = 24."""
+    nx = pytest.importorskip("networkx")
+    from hhresidue.enumeration import graphs_up_to
+
+    def nx_alpha(g):
+        ng = nx.Graph(g.edges())
+        ng.add_nodes_from(range(g.n))
+        return len(nx.max_weight_clique(nx.complement(ng), weight=None)[0])
+
+    classes = list(graphs_up_to(7))
+    assert len(classes) == 1252
+    for g in classes:
+        assert independence_number(g) == nx_alpha(g), g
+    rng = random.Random(24)
+    for n in range(8, 25):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            assert independence_number(g) == nx_alpha(g), g
 
 
 def test_alpha_scale_bounds():

@@ -1,7 +1,11 @@
 """Vertex-level property, class recognizers, configuration, threshold."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from hhresidue.catalog import (
     FORBIDDEN_SUBGRAPHS,
@@ -11,8 +15,9 @@ from hhresidue.catalog import (
     path,
 )
 from hhresidue.degseq import hh_step
-from hhresidue.graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
+from hhresidue.graphs import Graph, disjoint_union, induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.recognition import (
+    INDUCED_TARGET_MAX_N,
     contains_induced,
     definitional_violation,
     find_matrogenic_config,
@@ -94,6 +99,91 @@ def test_contains_induced_examples():
 def test_contains_induced_requires_induced_copy():
     # K4 contains P4 as a subgraph but not as an induced subgraph
     assert contains_induced(complete(4), path(4)) is None
+
+
+def test_contains_induced_trivial_and_oversized_targets():
+    assert contains_induced(path(3), Graph(0)) == ()
+    assert contains_induced(Graph(0), Graph(0)) == ()
+    assert contains_induced(Graph(2), complete(1)) == (0,)
+    assert contains_induced(Graph(0), complete(1)) is None
+    assert contains_induced(path(3), path(5)) is None
+
+
+def test_contains_induced_target_bound():
+    assert INDUCED_TARGET_MAX_N == 7
+    assert contains_induced(path(9), path(7)) == tuple(range(7))
+    with pytest.raises(ValueError, match="bound 7"):
+        contains_induced(path(9), path(8))
+
+
+# --- the scan against the subset-by-subset route -------------------------------
+
+THRESHOLD_TARGETS = (disjoint_union(complete(2), complete(2)), cycle(4), path(4))
+CONTAINMENT_TARGETS = (*FORBIDDEN_SUBGRAPHS.values(), cycle(4), path(4))
+
+
+def reference_first_induced(g, targets):
+    """Reference route: subsets by increasing size, lexicographically within
+    a size, target order within a subset; sorted degrees filter before an
+    isomorphism test of the induced subgraph."""
+    for size in sorted({h.n for h in targets}):
+        members = [(i, h, h.degree_sequence()) for i, h in enumerate(targets) if h.n == size]
+        for sub in itertools.combinations(range(g.n), size):
+            sg = induced_subgraph(g, sub)
+            for i, h, hdegs in members:
+                if sg.degree_sequence() == hdegs and is_isomorphic(sg, h):
+                    return i, sub
+    return None
+
+
+def reference_witness(g):
+    hit = reference_first_induced(g, tuple(FORBIDDEN_SUBGRAPHS.values()))
+    return None if hit is None else (list(FORBIDDEN_SUBGRAPHS)[hit[0]], hit[1])
+
+
+def witness_pair(g):
+    w = strong_hh_witness(g)
+    return None if w is None else (w.name, w.vertices)
+
+
+def assert_scans_match_reference(g):
+    assert witness_pair(g) == reference_witness(g)
+    assert is_threshold(g) == (reference_first_induced(g, THRESHOLD_TARGETS) is None)
+
+
+@given(graphs(max_n=10), st.sampled_from(CONTAINMENT_TARGETS))
+def test_scans_match_reference_route(g, h):
+    assert_scans_match_reference(g)
+    hit = reference_first_induced(g, (h,))
+    assert contains_induced(g, h) == (None if hit is None else hit[1])
+
+
+def relabel(g, perm):
+    """The copy of g in which vertex v is called perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def alternating_threshold_graph(n, rng):
+    """Vertices added in turn as isolated and dominating, shuffled labels."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)]), perm)
+
+
+def test_scans_match_reference_on_relabelled_catalog_and_threshold_graphs():
+    rng = random.Random(20151)
+    for name, fg in FORBIDDEN_SUBGRAPHS.items():
+        for _ in range(5):
+            perm = list(range(fg.n))
+            rng.shuffle(perm)
+            g = relabel(fg, perm)
+            assert witness_pair(g) == (name, tuple(range(fg.n)))
+            assert_scans_match_reference(g)
+    for n in range(10, 21, 2):
+        g = alternating_threshold_graph(n, rng)
+        assert strong_hh_witness(g) is None
+        assert is_threshold(g)
+        assert_scans_match_reference(g)
 
 
 # --- class recognizers -------------------------------------------------------
@@ -221,9 +311,21 @@ def test_threshold_examples():
     assert is_threshold(complete_bipartite(1, 3))
     assert not is_threshold(path(4))
     assert not is_threshold(cycle(4))
-    from hhresidue.graphs import disjoint_union
-
     assert not is_threshold(disjoint_union(complete(2), complete(2)))
+
+
+def test_threshold_matches_networkx_up_to_7():
+    """A route that shares no code with the scan: networkx's threshold
+    test, on every class of order <= 7."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.threshold import is_threshold_graph
+
+    from hhresidue.enumeration import graphs_up_to
+
+    for g in graphs_up_to(7):
+        ng = nx.Graph(g.edges())
+        ng.add_nodes_from(range(g.n))
+        assert is_threshold(g) == is_threshold_graph(ng), g
 
 
 def test_class_chain_up_to_5():
