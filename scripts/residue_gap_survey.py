@@ -28,12 +28,12 @@ def main() -> int:
     parser.add_argument("--examples", type=int, default=3,
                         help="out-of-class equality examples to print per order")
     args = parser.parse_args()
-    if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
+    if not 1 <= args.max_n <= ENUMERATION_MAX_N:
+        parser.error(f"--max-n must be in 1..{ENUMERATION_MAX_N}")
 
     print(f"{'n':>2} {'graphs':>7} {'in-class':>9} {'R=alpha':>8} "
           f"{'R=alpha outside':>16}  gap distribution")
-    records = records_up_to(min(args.max_n, ENUMERATION_MAX_N))
+    records = records_up_to(args.max_n)
     for n, group in groupby(records, key=lambda rec: rec.graph.n):
         gaps = Counter()
         in_class = equal = equal_outside = 0

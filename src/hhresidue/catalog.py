@@ -119,39 +119,3 @@ FORBIDDEN_SUBGRAPHS: dict[str, Graph] = {
     "co-domino": co_domino(),
 }
 
-
-_FIXED = {
-    "k23_plus": k23_plus,
-    "pan4": pan4,
-    "kite": kite,
-    "stool": stool,
-    "domino": domino,
-    "co_domino": co_domino,
-    "two_p3": two_p3,
-    "p3_plus_k3": p3_plus_k3,
-    "dumbbell_a": dumbbell_a,
-    "dumbbell_b": dumbbell_b,
-}
-
-_PARAMETERIZED = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "empty": empty_graph,
-}
-
-
-def catalog(name: str, *params: int) -> Graph:
-    """Build a catalog graph by name.
-
-    Parameterized names ("path", "cycle", "complete", "complete_bipartite",
-    "empty") take size arguments; fixed names take none.
-    """
-    if name in _PARAMETERIZED:
-        return _PARAMETERIZED[name](*params)
-    if name in _FIXED:
-        if params:
-            raise ValueError(f"catalog graph {name!r} takes no parameters")
-        return _FIXED[name]()
-    raise ValueError(f"unknown catalog graph {name!r}")

@@ -103,25 +103,19 @@ def cmd_residue(args: argparse.Namespace) -> int:
               "nonnegative integers", file=sys.stderr)
         return 2
     trace = hh_reduce(terms)
-    if trace.outcome == ALL_ZERO:
-        shown = trace.steps
-    elif trace.outcome == NEGATIVE_TERM:
-        shown = trace.steps[:-1]
-    else:
-        shown = trace.steps
+    shown = trace.steps[:-1] if trace.outcome == NEGATIVE_TERM else trace.steps
     for i, step in enumerate(shown):
         print(f"d^{i}: {_format_step(step)}")
     if trace.outcome == ALL_ZERO:
         print(f"residue: {trace.residue}")
         return 0
+    k = len(trace.steps) - 1
     if trace.outcome == NEGATIVE_TERM:
-        k = len(trace.steps) - 1
         print(
             f"not graphical: reducing d^{k - 1} = {_format_step(trace.steps[k - 1])} "
             "produces a negative term",
         )
     else:
-        k = len(trace.steps) - 1
         last = trace.steps[k]
         print(
             f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "

@@ -12,8 +12,6 @@ repeated sweeps are cheap and deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .graphs import Graph, is_isomorphic, iter_bits
 
 ENUMERATION_MAX_N = 8
@@ -70,12 +68,6 @@ def _invariant(g: Graph) -> tuple:
             for v, a in enumerate(adj)
         )
     )
-
-
-def graphs_up_to(n_max: int) -> Iterator[Graph]:
-    """All representatives of orders 1..n_max, smaller orders first."""
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
 
 
 def isomorphism_class_count_labeled(n: int) -> int:

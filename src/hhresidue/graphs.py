@@ -9,7 +9,7 @@ matching degree profiles.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 def iter_bits(mask: int):
@@ -76,24 +76,6 @@ class Graph:
     def __repr__(self):
         return f"Graph({self.n}, {self.edges()})"
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self.degrees[v]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return tuple(iter_bits(self.adj[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u},{v}) out of range")
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if u < v]
 
@@ -106,11 +88,6 @@ class Graph:
         return tuple(sorted(self.degrees, reverse=True))
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list (duplicates collapse, loops rejected)."""
-    return Graph(n, edges)
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
@@ -119,14 +96,6 @@ def complement(g: Graph) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph._from_adj(g.n + h.n, tuple(adj))
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    g_all = (1 << g.n) - 1
-    h_all = ((1 << h.n) - 1) << g.n
-    adj = [m | h_all for m in g.adj] + [(m << g.n) | g_all for m in h.adj]
     return Graph._from_adj(g.n + h.n, tuple(adj))
 
 
@@ -149,19 +118,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph._from_adj(k, tuple(adj))
-
-
-def permute(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel: vertex v of g becomes vertex perm[v] of the result."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    adj = [0] * g.n
-    for u in range(g.n):
-        pu = perm[u]
-        for v in iter_bits(g.adj[u]):
-            adj[pu] |= 1 << perm[v]
-    return Graph._from_adj(g.n, tuple(adj))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

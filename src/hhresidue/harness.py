@@ -4,10 +4,10 @@ on, over one shared per-graph record.
 A :class:`GraphRecord` holds the facts about one graph that the checks and
 ``analyze`` read: graph6, residue, alpha, the Maxine branches, the
 forbidden-subgraph witness, the first definitional violation, threshold
-and configuration-free membership, and the maximum independent sets. Each
-is computed on first access and kept. Records are cached per order, like
-the enumeration itself, so a run of several checks computes each fact
-once per isomorphism class.
+and configuration-free membership, and the vertices common to every
+maximum independent set. Each is computed on first access and kept.
+Records are cached per order, like the enumeration itself, so a run of
+several checks computes each fact once per isomorphism class.
 
 Each check is a predicate over the records of every class of order
 1..n_max (any n_max up to ``ENUMERATION_MAX_N``) and reports violations as
@@ -42,7 +42,7 @@ from .graphs import Graph, is_isomorphic, iter_bits
 from .independence import (
     MaxineBranchSummary,
     independence_number,
-    maximum_independent_sets,
+    common_mis_mask,
     maxine_all_branches,
 )
 from .recognition import (
@@ -96,8 +96,9 @@ class GraphRecord:
         return is_matrogenic_config_free(self.graph)
 
     @cached_property
-    def mis(self) -> list[tuple[int, ...]]:
-        return maximum_independent_sets(self.graph)
+    def mis(self) -> int:
+        """Bitmask of the vertices in every maximum independent set."""
+        return common_mis_mask(self.graph)
 
     @property
     def minimal_forbidden(self) -> bool:
@@ -176,14 +177,6 @@ def _forb_equivalence(rec: GraphRecord) -> list[str]:
         return []
     detail = f"witness={w.name}{w.vertices}" if w else "no witness"
     return [f"definitional={by_definition} forbidden-scan={w is None} ({detail})"]
-
-
-def minimal_forbidden(n_max: int = 6) -> list[Graph]:
-    """All graphs of order <= n_max outside the class whose every
-    one-vertex-deleted induced subgraph is inside, judged by the
-    definitional oracle alone; one representative per isomorphism class.
-    All nine members appear once n_max >= 6."""
-    return [rec.graph for rec in records_up_to(n_max) if rec.minimal_forbidden]
 
 
 def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
@@ -290,13 +283,11 @@ def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
     g = rec.graph
     if g.edge_count == 0:
         return None
-    mis = rec.mis
-    common = set(mis[0]).intersection(*mis[1:])
     dmax = max(g.degrees)
     return [
         f"vertex {v} is in every maximum independent set but on no "
         f"induced C4 and not a P5 center"
-        for v in sorted(common)
+        for v in iter_bits(rec.mis)
         if g.degrees[v] == dmax and not (in_induced_c4(g, v) or is_induced_p5_center(g, v))
     ]
 

@@ -3,7 +3,8 @@ heuristic.
 
 Two exact routes to the independence number cross-check each other: a
 branch-and-bound on a maximum-degree vertex with a greedy clique-cover
-bound, and an exhaustive bitmask sweep. Maxine can be run with a fixed
+bound, and an exhaustive bitmask sweep, which also gives the vertices
+common to every maximum independent set. Maxine can be run with a fixed
 tie-breaking strategy or branched over every choice of maximum-degree
 vertex, collecting the full set of achievable independent-set sizes.
 """
@@ -17,7 +18,6 @@ from .graphs import Graph, iter_bits
 
 ALPHA_MAX_N = 24
 BITMASK_MAX_N = 20
-ALL_MIS_MAX_N = 12
 BRANCH_MAX_N = 9
 
 
@@ -83,13 +83,17 @@ def independence_number_bitmask(g: Graph) -> int:
     return _subset_sweep(g)[1]
 
 
-def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """Every independent set of maximum size, each as a sorted vertex
-    tuple, listed in lexicographic order."""
-    if g.n > ALL_MIS_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds exhaustive bound {ALL_MIS_MAX_N}")
+def common_mis_mask(g: Graph) -> int:
+    """Bitmask of the vertices lying in every maximum independent set: the
+    AND of the masks of maximum size in the subset sweep."""
+    if g.n > BITMASK_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds bitmask-sweep bound {BITMASK_MAX_N}")
     size, best = _subset_sweep(g)
-    return sorted(tuple(iter_bits(m)) for m, s in enumerate(size) if s == best)
+    common = (1 << g.n) - 1
+    for m, s in enumerate(size):
+        if s == best:
+            common &= m
+    return common
 
 
 def _subset_sweep(g: Graph) -> tuple[list[int], int]:

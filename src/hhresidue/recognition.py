@@ -17,9 +17,7 @@ of every target, each coded with one bit per position pair, together with
 the set of codes of each copy's first m positions. The scan grows vertex
 subsets one vertex at a time in lexicographic order and drops a prefix as
 soon as its code begins no copy, so a subset is never built as a graph and
-no isomorphism test runs. Targets of contains_induced are limited to
-INDUCED_TARGET_MAX_N vertices: a table holds up to k! codes per k-vertex
-target (about 0.03 s to build at k = 7, 0.3 s at k = 8).
+no isomorphism test runs.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .catalog import FORBIDDEN_SUBGRAPHS, complete, cycle, disjoint_union, path
 from .graphs import Graph, iter_bits
 
 DEFINITIONAL_MAX_N = 12
-INDUCED_TARGET_MAX_N = 7
 
 
 def has_hh_property(g: Graph, v: int) -> bool:
@@ -144,8 +141,6 @@ def _first_induced(g: Graph, targets: tuple[Graph, ...]) -> tuple[int, tuple[int
     for k, prefixes, full in _copy_tables(targets):
         if k > n:
             break
-        if k == 0:
-            return full[0], ()
         hit = _first_copy(adj, n, k, prefixes, full)
         if hit:
             return hit
@@ -181,15 +176,6 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, i
     return extend(0, 0, 0, [0] * n)
 
 
-def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """First vertex subset of g (lexicographic order) inducing a copy of h,
-    or None."""
-    if h.n > INDUCED_TARGET_MAX_N:
-        raise ValueError(f"target order {h.n} exceeds induced-scan target bound {INDUCED_TARGET_MAX_N}")
-    hit = _first_induced(g, (h,))
-    return None if hit is None else hit[1]
-
-
 _FORB_NAMES = list(FORBIDDEN_SUBGRAPHS)
 _FORB_TARGETS = tuple(FORBIDDEN_SUBGRAPHS.values())
 
@@ -200,12 +186,6 @@ def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
     subset. Returns the first hit, or None when g is in the class."""
     hit = _first_induced(g, _FORB_TARGETS)
     return None if hit is None else ForbiddenWitness(_FORB_NAMES[hit[0]], hit[1])
-
-
-def is_strong_havel_hakimi(g: Graph) -> bool:
-    """Forbidden-subgraph recognizer; agrees with the definitional oracle
-    (a fact the harness re-checks by enumeration)."""
-    return strong_hh_witness(g) is None
 
 
 @dataclass(frozen=True)

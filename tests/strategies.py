@@ -1,10 +1,22 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies and graph helpers."""
 
 import itertools
 
 import hypothesis.strategies as st
 
+from hhresidue.enumeration import enumerate_graphs
 from hhresidue.graphs import Graph
+
+
+def graphs_up_to(n_max):
+    """All representatives of orders 1..n_max, smaller orders first."""
+    for n in range(1, n_max + 1):
+        yield from enumerate_graphs(n)
+
+
+def relabel(g, perm):
+    """The copy of g in which vertex v is called perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @st.composite

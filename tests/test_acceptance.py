@@ -10,20 +10,18 @@ import time
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS
 from hhresidue.cli import main
 from hhresidue.degseq import is_graphical, is_graphical_erdos_gallai, residue
-from hhresidue.enumeration import (
-    enumerate_graphs,
-    graphs_up_to,
-    isomorphism_class_count_labeled,
-)
+from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
 from hhresidue.graph6 import emit_graph6, parse_graph6
 from hhresidue.graphs import Graph, induced_subgraph, is_isomorphic
-from hhresidue.harness import minimal_forbidden, verify
+from hhresidue.harness import records_up_to, verify
 from hhresidue.independence import (
     independence_number,
     independence_number_bitmask,
     maxine_all_branches,
 )
 from hhresidue.recognition import is_strong_havel_hakimi_definitional
+
+from strategies import graphs_up_to
 
 
 def report(label: str, ok: bool):
@@ -52,7 +50,7 @@ def test_criterion_02_forb_equivalence_n7():
 
 
 def test_criterion_03_minimal_forbidden_oracle():
-    found = minimal_forbidden(6)
+    found = [r.graph for r in records_up_to(6) if r.minimal_forbidden]
     names = list(FORBIDDEN_SUBGRAPHS)
     ok = len(found) == 9
     # bijective match against the catalog encodings

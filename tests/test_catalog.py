@@ -6,7 +6,6 @@ import pytest
 
 from hhresidue.catalog import (
     FORBIDDEN_SUBGRAPHS,
-    catalog,
     co_domino,
     complete,
     complete_bipartite,
@@ -80,13 +79,3 @@ def test_parameterized_constructors_validate():
     with pytest.raises(ValueError):
         complete_bipartite(0, 3)
     assert path(1) == complete(1)
-
-
-def test_catalog_dispatcher():
-    assert catalog("path", 5) == path(5)
-    assert catalog("complete_bipartite", 2, 3) == complete_bipartite(2, 3)
-    assert catalog("kite") == FORBIDDEN_SUBGRAPHS["kite"]
-    with pytest.raises(ValueError):
-        catalog("kite", 4)
-    with pytest.raises(ValueError):
-        catalog("no-such-graph")

@@ -300,17 +300,22 @@ def test_verify_out_of_range_n_exits_2(capsys, theorem, n):
     assert f"n_max {n} outside supported range 1..8" in err
 
 
-@pytest.mark.parametrize("module", ["hhresidue.cli", "hhresidue"])
-def test_python_m_entry_points(module):
+def run_module(module, *argv, **env):
+    """Run python -m module with src/ on the path and env added."""
     paths = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify", "class-chain", "--max-n", "3"],
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["hhresidue.cli", "hhresidue"])
+def test_python_m_entry_points(module):
+    proc = run_module(module, "verify", "class-chain", "--max-n", "3")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["theorem_id"] == "class-chain"
@@ -320,3 +325,15 @@ def test_python_m_entry_points(module):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["analyze", "--format", "xml"]) == 2
+
+
+def test_verify_all_is_byte_identical_across_hash_seeds():
+    """String hashing differs between the two processes; the report must
+    not."""
+    a, b = (
+        run_module("hhresidue", "verify", "all", "--max-n", "5", PYTHONHASHSEED=seed)
+        for seed in ("1", "2")
+    )
+    assert a.returncode == b.returncode == 0, a.stderr + b.stderr
+    assert a.stdout == b.stdout
+    assert json.loads(a.stdout)

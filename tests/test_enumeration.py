@@ -5,12 +5,10 @@ import itertools
 import pytest
 
 from hhresidue.catalog import complete, cycle, path
-from hhresidue.enumeration import (
-    enumerate_graphs,
-    graphs_up_to,
-    isomorphism_class_count_labeled,
-)
+from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
 from hhresidue.graphs import is_isomorphic
+
+from strategies import graphs_up_to
 
 
 def test_counts_up_to_6():

@@ -8,7 +8,7 @@ from hhresidue.catalog import complete, empty_graph, path
 from hhresidue.graph6 import Graph6Error, emit_graph6, parse_graph6
 from hhresidue.graphs import Graph
 
-from strategies import graphs
+from strategies import graphs, graphs_up_to
 
 
 def test_parse_hand_checked_strings():
@@ -87,8 +87,6 @@ def test_parse_arbitrary_text_raises_only_graph6_error(text):
 
 
 def test_round_trip_on_enumerated_graphs():
-    from hhresidue.enumeration import graphs_up_to
-
     for g in graphs_up_to(5):
         s = emit_graph6(g)
         assert parse_graph6(s) == g

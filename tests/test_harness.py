@@ -10,13 +10,13 @@ from hhresidue.harness import (
     THEOREM_CHECKS,
     in_induced_c4,
     is_induced_p5_center,
-    minimal_forbidden,
+    records_up_to,
     verify,
 )
 
 
 def test_minimal_forbidden_up_to_5():
-    found = minimal_forbidden(5)
+    found = [r.graph for r in records_up_to(5) if r.minimal_forbidden]
     assert len(found) == 5
     five_vertex = [g for g in FORBIDDEN_SUBGRAPHS.values() if g.n == 5]
     for fg in five_vertex:

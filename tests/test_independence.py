@@ -10,14 +10,15 @@ from hhresidue.catalog import complete, cycle, empty_graph, path
 from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
 from hhresidue.independence import (
+    common_mis_mask,
     independence_number,
     independence_number_bitmask,
-    maximum_independent_sets,
     maxine_all_branches,
     maxine_run,
 )
+from hhresidue.recognition import _first_induced
 
-from strategies import graphs
+from strategies import graphs, graphs_up_to
 
 
 def brute_alpha(g):
@@ -61,7 +62,6 @@ def test_alpha_matches_networkx_clique_of_complement():
     """alpha(g) is the largest clique of the complement, by networkx, on
     every class of order <= 7 and on seeded G(n, p) graphs up to n = 24."""
     nx = pytest.importorskip("networkx")
-    from hhresidue.enumeration import graphs_up_to
 
     def nx_alpha(g):
         ng = nx.Graph(g.edges())
@@ -86,28 +86,35 @@ def test_alpha_scale_bounds():
         independence_number_bitmask(empty_graph(21))
 
 
-# --- all maximum independent sets -----------------------------------------
+# --- vertices common to every maximum independent set ----------------------
 
 
-def test_maximum_sets_examples():
-    assert maximum_independent_sets(cycle(4)) == [(0, 2), (1, 3)]
-    assert maximum_independent_sets(complete(3)) == [(0,), (1,), (2,)]
-    assert maximum_independent_sets(path(5)) == [(0, 2, 4)]
+def test_common_mis_examples():
+    assert common_mis_mask(cycle(4)) == 0
+    assert common_mis_mask(path(5)) == 0b10101
+    assert common_mis_mask(complete(3)) == 0
+    assert common_mis_mask(empty_graph(3)) == 0b111
 
 
-def test_maximum_sets_scale_bound():
+def test_common_mis_scale_bound():
     with pytest.raises(ValueError):
-        maximum_independent_sets(empty_graph(13))
+        common_mis_mask(empty_graph(21))
 
 
-@given(graphs(max_n=8))
-def test_maximum_sets_are_independent_and_maximum(g):
-    sets = maximum_independent_sets(g)
-    alpha = independence_number(g)
-    assert sets
-    for s in sets:
-        assert len(s) == alpha
-        assert all(not g.has_edge(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
+def test_common_mis_matches_networkx_on_classes_up_to_7():
+    """The maximum independent sets of g are the maximum cliques of its
+    complement; their intersection, by networkx's clique listing, on every
+    class of order <= 7."""
+    nx = pytest.importorskip("networkx")
+    classes = list(graphs_up_to(7))
+    assert len(classes) == 1252
+    for g in classes:
+        ng = nx.Graph(g.edges())
+        ng.add_nodes_from(range(g.n))
+        cliques = list(nx.find_cliques(nx.complement(ng)))
+        size = max(map(len, cliques))
+        common = set(range(g.n)).intersection(*(c for c in cliques if len(c) == size))
+        assert common_mis_mask(g) == sum(1 << v for v in common), g
 
 
 # --- Maxine, single runs ---------------------------------------------------
@@ -146,7 +153,7 @@ def test_maxine_outcomes_are_valid(g, strategy, seed):
     out = maxine_run(g, strategy, seed=seed)
     survivors = set(out.survivors)
     assert all(
-        not g.has_edge(u, v) for u in survivors for v in survivors if u < v
+        not g.adj[u] >> v & 1 for u in survivors for v in survivors if u < v
     )
     assert replay_is_valid_maxine(g, out)
     assert out.size == len(out.survivors)
@@ -181,13 +188,9 @@ def test_branches_scale_bound():
 def test_maxine_optimal_on_c4_p5_free_graphs():
     """On every graph up to order 7 with no induced C4 and no induced P5,
     every Maxine branch reaches the independence number."""
-    from hhresidue.enumeration import graphs_up_to
-    from hhresidue.recognition import contains_induced
-
-    c4, p5 = cycle(4), path(5)
     checked = 0
     for g in graphs_up_to(7):
-        if contains_induced(g, c4) or contains_induced(g, p5):
+        if _first_induced(g, (cycle(4), path(5))) is not None:
             continue
         checked += 1
         assert maxine_all_branches(g).achievable_sizes == (independence_number(g),)

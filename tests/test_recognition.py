@@ -17,19 +17,17 @@ from hhresidue.catalog import (
 from hhresidue.degseq import hh_step
 from hhresidue.graphs import Graph, disjoint_union, induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.recognition import (
-    INDUCED_TARGET_MAX_N,
-    contains_induced,
+    _first_induced,
     definitional_violation,
     find_matrogenic_config,
     has_hh_property,
     is_matrogenic_config_free,
-    is_strong_havel_hakimi,
     is_strong_havel_hakimi_definitional,
     is_threshold,
     strong_hh_witness,
 )
 
-from strategies import graphs
+from strategies import graphs, graphs_up_to, relabel
 
 
 def pendant_on_c5():
@@ -43,8 +41,8 @@ def config_holds(g, w):
     distinct = len({w.v, w.w, w.u, w.x, w.y}) == 5
     return (
         distinct
-        and all(g.has_edge(a, b) for a, b in need_edges)
-        and not any(g.has_edge(a, b) for a, b in need_non)
+        and all(g.adj[a] >> b & 1 for a, b in need_edges)
+        and not any(g.adj[a] >> b & 1 for a, b in need_non)
     )
 
 
@@ -89,31 +87,22 @@ def test_hh_deletion_mirrors_step(g):
 
 def test_contains_induced_examples():
     c5 = cycle(5)
-    hit = contains_induced(c5, path(4))
+    hit = _first_induced(c5, (path(4),))
     assert hit is not None
-    assert is_isomorphic(induced_subgraph(c5, hit), path(4))
-    assert contains_induced(c5, path(5)) is None
-    assert contains_induced(c5, complete(1)) == (0,)
+    assert is_isomorphic(induced_subgraph(c5, hit[1]), path(4))
+    assert _first_induced(c5, (path(5),)) is None
+    assert _first_induced(c5, (complete(1),)) == (0, (0,))
 
 
 def test_contains_induced_requires_induced_copy():
     # K4 contains P4 as a subgraph but not as an induced subgraph
-    assert contains_induced(complete(4), path(4)) is None
+    assert _first_induced(complete(4), (path(4),)) is None
 
 
 def test_contains_induced_trivial_and_oversized_targets():
-    assert contains_induced(path(3), Graph(0)) == ()
-    assert contains_induced(Graph(0), Graph(0)) == ()
-    assert contains_induced(Graph(2), complete(1)) == (0,)
-    assert contains_induced(Graph(0), complete(1)) is None
-    assert contains_induced(path(3), path(5)) is None
-
-
-def test_contains_induced_target_bound():
-    assert INDUCED_TARGET_MAX_N == 7
-    assert contains_induced(path(9), path(7)) == tuple(range(7))
-    with pytest.raises(ValueError, match="bound 7"):
-        contains_induced(path(9), path(8))
+    assert _first_induced(Graph(2), (complete(1),)) == (0, (0,))
+    assert _first_induced(Graph(0), (complete(1),)) is None
+    assert _first_induced(path(3), (path(5),)) is None
 
 
 # --- the scan against the subset-by-subset route -------------------------------
@@ -154,13 +143,7 @@ def assert_scans_match_reference(g):
 @given(graphs(max_n=10), st.sampled_from(CONTAINMENT_TARGETS))
 def test_scans_match_reference_route(g, h):
     assert_scans_match_reference(g)
-    hit = reference_first_induced(g, (h,))
-    assert contains_induced(g, h) == (None if hit is None else hit[1])
-
-
-def relabel(g, perm):
-    """The copy of g in which vertex v is called perm[v]."""
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert _first_induced(g, (h,)) == reference_first_induced(g, (h,))
 
 
 def alternating_threshold_graph(n, rng):
@@ -198,11 +181,11 @@ def test_p5_witnesses_itself():
 
 def test_complete_graphs_are_in_class():
     for n in range(1, 8):
-        assert is_strong_havel_hakimi(complete(n))
+        assert strong_hh_witness(complete(n)) is None
 
 
 def test_c5_is_in_class_both_ways():
-    assert is_strong_havel_hakimi(cycle(5))
+    assert strong_hh_witness(cycle(5)) is None
     assert is_strong_havel_hakimi_definitional(cycle(5))
 
 
@@ -211,11 +194,9 @@ def test_p5_fails_definitional():
 
 
 def test_small_graphs_all_in_class():
-    from hhresidue.enumeration import graphs_up_to
-
     for g in graphs_up_to(3):
         assert is_strong_havel_hakimi_definitional(g)
-        assert is_strong_havel_hakimi(g)
+        assert strong_hh_witness(g) is None
 
 
 def test_definitional_scale_bound():
@@ -252,18 +233,16 @@ def test_catalog_first_violation_is_full_set():
 
 
 def test_recognizers_agree_up_to_5():
-    from hhresidue.enumeration import graphs_up_to
-
     for g in graphs_up_to(5):
-        assert is_strong_havel_hakimi_definitional(g) == is_strong_havel_hakimi(g)
+        assert is_strong_havel_hakimi_definitional(g) == (strong_hh_witness(g) is None)
 
 
 @given(graphs(min_n=1, max_n=6))
 def test_class_is_hereditary(g):
-    if is_strong_havel_hakimi(g):
+    if strong_hh_witness(g) is None:
         for v in range(g.n):
             rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
-            assert is_strong_havel_hakimi(rest)
+            assert strong_hh_witness(rest) is None
 
 
 def test_forbidden_members_witness_themselves():
@@ -320,8 +299,6 @@ def test_threshold_matches_networkx_up_to_7():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.threshold import is_threshold_graph
 
-    from hhresidue.enumeration import graphs_up_to
-
     for g in graphs_up_to(7):
         ng = nx.Graph(g.edges())
         ng.add_nodes_from(range(g.n))
@@ -329,10 +306,8 @@ def test_threshold_matches_networkx_up_to_7():
 
 
 def test_class_chain_up_to_5():
-    from hhresidue.enumeration import graphs_up_to
-
     for g in graphs_up_to(5):
         if is_threshold(g):
             assert is_matrogenic_config_free(g)
         if is_matrogenic_config_free(g):
-            assert is_strong_havel_hakimi(g)
+            assert strong_hh_witness(g) is None

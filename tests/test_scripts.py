@@ -24,3 +24,16 @@ def test_residue_gap_survey_smoke():
         ["4", "11", "11", "11"],
         ["5", "34", "29", "31"],
     ]
+
+
+def test_residue_gap_survey_rejects_out_of_range_order():
+    for max_n in ("0", "9"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(SCRIPTS, "residue_gap_survey.py"), "--max-n", max_n],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, max_n
+        assert proc.stdout == ""
+        assert "--max-n must be in 1..8" in proc.stderr
