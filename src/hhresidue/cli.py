@@ -10,7 +10,8 @@ Subcommands:
   ``verify all``: every check, in registry order, as a JSON array.
 
 Exit codes: 0 success/verified, 1 violation or non-graphical input, 2
-usage or parse errors. Output is byte-deterministic for fixed inputs and
+usage or parse errors, or output (stdout included) that cannot be
+written. Output is byte-deterministic for fixed inputs and
 flags. Fields whose exact computation is out of scale for the input are
 reported as the explicit string "skipped: scale", never silently omitted.
 """
@@ -104,24 +105,24 @@ def cmd_residue(args: argparse.Namespace) -> int:
         return 2
     trace = hh_reduce(terms)
     shown = trace.steps[:-1] if trace.outcome == NEGATIVE_TERM else trace.steps
-    for i, step in enumerate(shown):
-        print(f"d^{i}: {_format_step(step)}")
-    if trace.outcome == ALL_ZERO:
-        print(f"residue: {trace.residue}")
-        return 0
+    lines = [f"d^{i}: {_format_step(step)}" for i, step in enumerate(shown)]
     k = len(trace.steps) - 1
-    if trace.outcome == NEGATIVE_TERM:
-        print(
+    if trace.outcome == ALL_ZERO:
+        lines.append(f"residue: {trace.residue}")
+    elif trace.outcome == NEGATIVE_TERM:
+        lines.append(
             f"not graphical: reducing d^{k - 1} = {_format_step(trace.steps[k - 1])} "
-            "produces a negative term",
+            "produces a negative term"
         )
     else:
         last = trace.steps[k]
-        print(
+        lines.append(
             f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "
-            f"but only {len(last) - 1} remaining terms",
+            f"but only {len(last) - 1} remaining terms"
         )
-    return 1
+    if not _emit("\n".join(lines)):
+        return 2
+    return 0 if trace.outcome == ALL_ZERO else 1
 
 
 def _read_tokens(path: str) -> list[str]:
@@ -209,18 +210,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _emit(text: str, out_path: str | None) -> bool:
-    """Print the finished report to stdout, or to out_path, which is opened
-    only now so that failing earlier never truncates it. False (after a
-    message) when out_path cannot be written."""
-    if not out_path:
-        print(text)
-        return True
+def _emit(text: str, out_path: str | None = None) -> bool:
+    """Print the finished text to stdout, or to out_path, which is opened
+    only now so that failing earlier never truncates it, and flush it.
+    False (after a message) when it cannot be written."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+        with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+            print(text, file=fh, flush=True)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return False
     return True
 

@@ -8,6 +8,13 @@ bucketed by a cheap isomorphism invariant and kept only when
 :func:`is_isomorphic` rejects every representative already in their
 bucket. Results are cached per order and listed in generation order, so
 repeated sweeps are cheap and deterministic.
+
+Each representative of order n >= 2 keeps a link to the representative it
+was grown from, its parent: :func:`parent_indices` gives the parent's
+index in the order-(n-1) list. The new vertex is always n-1 and the old
+adjacencies are copied unchanged, so a representative's induced subgraph
+on vertices 0..n-2 is its parent, with the same labels. Facts inherited
+by induced subgraphs can therefore be read off the parent.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ ENUMERATION_MAX_N = 8
 LABELED_COUNT_MAX_N = 5
 
 _cache: dict[int, list[Graph]] = {}
+_parents: dict[int, list[int]] = {}
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -28,13 +36,14 @@ def enumerate_graphs(n: int) -> list[Graph]:
     cached = _cache.get(n)
     if cached is not None:
         return cached
+    parents: list[int] = []
     if n == 1:
         reps = [Graph(1)]
     else:
         reps = []
         buckets: dict[tuple, list[Graph]] = {}
         new_bit = 1 << (n - 1)
-        for g in enumerate_graphs(n - 1):
+        for index, g in enumerate(enumerate_graphs(n - 1)):
             base, deg = g.adj, g.degrees
             for pattern in range(1 << (n - 1)):
                 k = pattern.bit_count()
@@ -50,8 +59,18 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 if not any(is_isomorphic(h, r) for r in bucket):
                     bucket.append(h)
                     reps.append(h)
+                    parents.append(index)
     _cache[n] = reps
+    _parents[n] = parents
     return reps
+
+
+def parent_indices(n: int) -> list[int]:
+    """For each representative of order n, in enumeration order, the index
+    in enumerate_graphs(n - 1) of the parent it was grown from; empty for
+    n = 1. Supports 1 <= n <= 8."""
+    enumerate_graphs(n)
+    return _parents[n]
 
 
 def _invariant(g: Graph) -> tuple:

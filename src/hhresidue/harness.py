@@ -9,6 +9,20 @@ maximum independent set. Each is computed on first access and kept.
 Records are cached per order, like the enumeration itself, so a run of
 several checks computes each fact once per isomorphism class.
 
+The records of enumerated classes are linked to the record of their
+enumeration parent, which is their induced subgraph on vertices 0..n-2
+with the same labels (see :mod:`hhresidue.enumeration`). The three facts
+inherited by induced subgraphs are read from it: a failing parent makes
+the child fail threshold and configuration-freeness, and the child's first
+definitional violation is the parent's, since the parent's masks are
+exactly the child's masks below 2^(n-1). Only a child of an in-class
+parent sweeps, and only the masks that contain vertex n-1. So
+"forb-equivalence" is not weakened: its definitional side is still the
+full definitional sweep, each mask checked once and shared along the
+parent chain, and it never consults the forbidden list. The witness scan
+stays direct, since it names vertices. A record built without a parent
+(``analyze``, the catalog graphs) computes every fact directly.
+
 Each check is a predicate over the records of every class of order
 1..n_max (any n_max up to ``ENUMERATION_MAX_N``) and reports violations as
 graph6 strings with messages, so a failure is reproducible from the report
@@ -36,7 +50,7 @@ from typing import Any, Callable
 
 from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
-from .enumeration import ENUMERATION_MAX_N, enumerate_graphs
+from .enumeration import ENUMERATION_MAX_N, enumerate_graphs, parent_indices
 from .graph6 import emit_graph6
 from .graphs import Graph, is_isomorphic, iter_bits
 from .independence import (
@@ -57,10 +71,12 @@ from .recognition import (
 class GraphRecord:
     """The per-graph facts, each computed on first access and then kept.
     Callers read only the fields within the scale bounds of their
-    inputs."""
+    inputs. parent, when given, must be the record of graph's induced
+    subgraph on vertices 0..n-2, with the same labels."""
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, parent: GraphRecord | None = None):
         self.graph = graph
+        self.parent = parent
 
     @cached_property
     def graph6(self) -> str:
@@ -85,15 +101,22 @@ class GraphRecord:
     @cached_property
     def violation(self) -> int | None:
         """First vertex subset (bitmask) failing the definitional oracle."""
-        return definitional_violation(self.graph)
+        parent = self.parent
+        if parent is None:
+            return definitional_violation(self.graph)
+        if parent.violation is not None:
+            return parent.violation
+        return definitional_violation(self.graph, _start=1 << (self.graph.n - 1))
 
     @cached_property
     def threshold(self) -> bool:
-        return is_threshold(self.graph)
+        parent = self.parent
+        return (parent is None or parent.threshold) and is_threshold(self.graph)
 
     @cached_property
     def config_free(self) -> bool:
-        return is_matrogenic_config_free(self.graph)
+        parent = self.parent
+        return (parent is None or parent.config_free) and is_matrogenic_config_free(self.graph)
 
     @cached_property
     def mis(self) -> int:
@@ -114,12 +137,14 @@ _records: dict[int, list[GraphRecord]] = {}
 
 def records_up_to(n_max: int) -> list[GraphRecord]:
     """Records of every class of order 1..n_max, smaller orders first, in
-    enumeration order; built once per order."""
+    enumeration order, each linked to its enumeration parent's record;
+    built once per order."""
     if not 1 <= n_max <= ENUMERATION_MAX_N:
         raise ValueError(f"n_max {n_max} outside supported range 1..{ENUMERATION_MAX_N}")
     for n in range(1, n_max + 1):
         if n not in _records:
-            _records[n] = [GraphRecord(g) for g in enumerate_graphs(n)]
+            parents = [_records[n - 1][i] for i in parent_indices(n)] if n > 1 else [None]
+            _records[n] = [GraphRecord(g, p) for g, p in zip(enumerate_graphs(n), parents)]
     return [rec for n in range(1, n_max + 1) for rec in _records[n]]
 
 

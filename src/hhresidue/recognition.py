@@ -49,18 +49,23 @@ def has_hh_property(g: Graph, v: int) -> bool:
     return min(nbr_degs) >= max(non_degs)
 
 
-def definitional_violation(g: Graph) -> int | None:
+def definitional_violation(g: Graph, *, _start: int = 1) -> int | None:
     """Definitional oracle: the first nonempty vertex subset, as a bitmask
     in increasing numeric order, on which some maximum-degree vertex of the
     induced subgraph lacks the Havel-Hakimi property; None when there is
     none, that is, when g is strong Havel-Hakimi. Every proper subset of a
     set has a smaller mask, so g is minimal forbidden exactly when the
     answer is its full vertex set. Cost 2^n * poly(n), hence the scale
-    bound."""
+    bound.
+
+    The private _start begins the sweep at that mask; a caller passes it
+    only when every smaller mask is known to pass (harness.GraphRecord,
+    whose parent is g's induced subgraph on the vertices below the top
+    bit of _start)."""
     if g.n > DEFINITIONAL_MAX_N:
         raise ValueError(f"graph order {g.n} exceeds definitional-oracle bound {DEFINITIONAL_MAX_N}")
     n, adj = g.n, g.adj
-    for mask in range(1, 1 << n):
+    for mask in range(_start, 1 << n):
         verts = list(iter_bits(mask))
         degs = [(adj[v] & mask).bit_count() for v in verts]
         dmax = max(degs)

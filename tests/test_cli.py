@@ -322,6 +322,29 @@ def test_python_m_entry_points(module):
     assert payload["graphs_checked"] == 7
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("verify", "class-chain", "--max-n", "3"), ("residue", "3,3,1,1")]
+)
+def test_stdout_write_error_exits_2(argv):
+    """A full stdout is an output error (2), reported in one line, not a
+    violation (1) with a traceback."""
+    paths = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhresidue", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["analyze", "--format", "xml"]) == 2

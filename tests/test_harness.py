@@ -3,16 +3,26 @@ acceptance suite)."""
 
 import json
 
+from hypothesis import given
+
 from hhresidue import harness
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, cycle, pan4, path
-from hhresidue.graphs import is_isomorphic
+from hhresidue.graphs import induced_subgraph, is_isomorphic
 from hhresidue.harness import (
     THEOREM_CHECKS,
+    GraphRecord,
     in_induced_c4,
     is_induced_p5_center,
     records_up_to,
     verify,
 )
+from hhresidue.recognition import (
+    definitional_violation,
+    is_matrogenic_config_free,
+    is_threshold,
+)
+
+from strategies import graphs
 
 
 def test_minimal_forbidden_up_to_5():
@@ -55,6 +65,70 @@ def test_checks_share_one_record_per_class(monkeypatch):
     for theorem_id in THEOREM_CHECKS:
         verify(theorem_id, 6)
     assert len(scanned) == 208
+
+
+def test_records_link_to_their_induced_parent():
+    """The invariant the inherited facts rest on: a record's parent is its
+    induced subgraph on vertices 0..n-2, with the same labels."""
+    for rec in records_up_to(7):
+        g = rec.graph
+        if g.n == 1:
+            assert rec.parent is None
+        else:
+            assert induced_subgraph(g, range(g.n - 1)) == rec.parent.graph, rec.graph6
+
+
+def test_inherited_facts_equal_direct():
+    """Every class of order <= 7: the parent-linked violation, threshold
+    and config_free equal the direct computations on the bare graph."""
+    for rec in records_up_to(7):
+        g = rec.graph
+        assert rec.violation == definitional_violation(g), rec.graph6
+        assert rec.threshold == is_threshold(g), rec.graph6
+        assert rec.config_free == is_matrogenic_config_free(g), rec.graph6
+
+
+@given(graphs(min_n=2, max_n=8))
+def test_parent_linked_record_equals_parentless(g):
+    parent = GraphRecord(induced_subgraph(g, range(g.n - 1)))
+    linked, direct = GraphRecord(g, parent), GraphRecord(g)
+    assert linked.violation == direct.violation
+    assert linked.threshold == direct.threshold
+    assert linked.config_free == direct.config_free
+
+
+def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
+    """From an empty record cache, all six checks at n <= 6 sweep from mask
+    1 only for the order-1 record and the parentless catalog graphs; every
+    other record of an in-class parent sweeps once from 1 << (n-1), and a
+    record whose parent is outside the class makes no call."""
+    calls = []
+    real = harness.definitional_violation
+
+    def counting(g, **kwargs):
+        calls.append((g, kwargs.get("_start", 1)))
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(harness, "_records", {})
+    monkeypatch.setattr(harness, "definitional_violation", counting)
+    for theorem_id in THEOREM_CHECKS:
+        assert verify(theorem_id, 6).passed, theorem_id
+    catalog = [start for g, start in calls if any(g is fg for fg in FORBIDDEN_SUBGRAPHS.values())]
+    assert catalog == [1] * len(FORBIDDEN_SUBGRAPHS)
+    records = records_up_to(6)
+    made = 0
+    for rec in records:
+        starts = [start for g, start in calls if g is rec.graph]
+        made += len(starts)
+        n = rec.graph.n
+        if n == 1:
+            assert starts == [1]
+        elif rec.parent.violation is not None:
+            assert starts == [], rec.graph6
+        else:
+            assert starts == [1 << (n - 1)], rec.graph6
+    assert made + len(catalog) == len(calls)
+    assert made < len(records)
 
 
 def test_verify_uses_default_order():
