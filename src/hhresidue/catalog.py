@@ -17,12 +17,6 @@ from .graphs import Graph, complement, disjoint_union
 # ---------------------------------------------------------------------------
 
 
-def empty_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    return Graph(n)
-
-
 def path(n: int) -> Graph:
     """P_n: vertices 0..n-1, edges i - i+1."""
     if n < 1:
@@ -92,17 +86,6 @@ def two_p3() -> Graph:
 
 def p3_plus_k3() -> Graph:
     return disjoint_union(path(3), complete(3))
-
-
-def dumbbell_a() -> Graph:
-    """Two disjoint triangles joined by a single bridging edge 0-3."""
-    return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)])
-
-
-def dumbbell_b() -> Graph:
-    """Triangular prism: triangles {0,1,2} and {3,4,5} plus the matching
-    0-3, 1-4, 2-5."""
-    return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
 
 
 # Minimal forbidden induced subgraphs of the strong Havel-Hakimi class,

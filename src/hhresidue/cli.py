@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import sys
+from collections.abc import Iterable
 
 from .degseq import ALL_ZERO, NEGATIVE_TERM, hh_reduce
 from .graph6 import Graph6Error, parse_graph6
@@ -120,7 +121,7 @@ def cmd_residue(args: argparse.Namespace) -> int:
             f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "
             f"but only {len(last) - 1} remaining terms"
         )
-    if not _emit("\n".join(lines)):
+    if not _emit(lines):
         return 2
     return 0 if trace.outcome == ALL_ZERO else 1
 
@@ -148,16 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
 
     failed = []
-    try:
-        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            wrote = False
-            for line in _analysis_lines(tokens, args, failed):
-                print(line, file=fh, flush=True)
-                wrote = True
-            if not wrote:
-                print(file=fh)  # an empty JSON report is one empty line
-    except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+    if not _emit(_analysis_lines(tokens, args, failed), args.out):
         return 2
     return 2 if failed else 0
 
@@ -165,9 +157,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _analysis_lines(tokens: list[str], args: argparse.Namespace, failed: list[int]):
     """The report's lines, one per nonempty input line (after the CSV
     header), each computed when it is asked for. A line that does not
-    parse is reported on stderr at once and its number appended to
-    failed."""
-    if args.format == "csv":
+    parse becomes a row of its graph6 token and error, is reported on
+    stderr at once, and its number is appended to failed."""
+    csv = args.format == "csv"
+    if csv:
         yield ",".join(CSV_COLUMNS)
     for lineno, token in enumerate(tokens, start=1):
         if not token:
@@ -177,18 +170,15 @@ def _analysis_lines(tokens: list[str], args: argparse.Namespace, failed: list[in
         except Graph6Error as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             failed.append(lineno)
-            if args.format == "json":
-                yield json.dumps({"line": lineno, "graph6": token, "error": str(exc)})
-            else:
-                row = [token] + [""] * (len(CSV_COLUMNS) - 2) + [str(exc) or "parse error"]
-                yield ",".join(_csv_quote(cell) for cell in row)
-            continue
-        rec = analyze_graph(g, args.strategy, args.seed)
-        if args.format == "json":
-            yield json.dumps({"line": lineno, **rec})
+            row = {"graph6": token, "error": str(exc)}
         else:
-            row = [_csv_cell(rec[column]) for column in CSV_COLUMNS[:-1]] + [""]
-            yield ",".join(_csv_quote(cell) for cell in row)
+            row = analyze_graph(g, args.strategy, args.seed)
+        if csv:
+            line = ",".join(_csv_quote(_csv_cell(row.get(column))) for column in CSV_COLUMNS)
+            # non-ASCII input bytes as \xNN escapes, as JSON writes \u00NN
+            yield line.encode("ascii", "backslashreplace").decode("ascii")
+        else:
+            yield json.dumps({"line": lineno, **row})
 
 
 def _csv_quote(cell: str) -> str:
@@ -205,18 +195,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = [r.to_dict() for r in reports] if args.theorem == "all" else reports[0].to_dict()
-    if not _emit(json.dumps(payload, indent=2), args.out):
+    if not _emit([json.dumps(payload, indent=2)], args.out):
         return 2
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _emit(text: str, out_path: str | None = None) -> bool:
-    """Print the finished text to stdout, or to out_path, which is opened
-    only now so that failing earlier never truncates it, and flush it.
-    False (after a message) when it cannot be written."""
+def _emit(lines: Iterable[str], out_path: str | None = None) -> bool:
+    """Print each line to stdout, or to out_path, and flush it as it comes;
+    one empty line when there are none. out_path is opened only now, so
+    that failing earlier never truncates it. False (after a message) when
+    the output cannot be written."""
     try:
         with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-            print(text, file=fh, flush=True)
+            wrote = False
+            for line in lines:
+                print(line, file=fh, flush=True)
+                wrote = True
+            if not wrote:
+                print(file=fh, flush=True)
     except OSError as exc:
         print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return False

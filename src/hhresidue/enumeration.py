@@ -3,11 +3,13 @@
 Representatives of order n are grown from those of order n-1 by attaching a
 new vertex, but only with neighborhoods that make it a minimum-degree
 vertex of the result. The sweep is complete: every graph on n vertices is
-its min-degree-vertex-deleted subgraph plus that vertex. Candidates are
-bucketed by a cheap isomorphism invariant and kept only when
-:func:`is_isomorphic` rejects every representative already in their
-bucket. Results are cached per order and listed in generation order, so
-repeated sweeps are cheap and deterministic.
+its min-degree-vertex-deleted subgraph plus that vertex. Each candidate's
+:func:`~hhresidue.graphs.vertex_invariants` list is computed once; its
+sorted form is the candidate's bucket key, and the candidate is kept only
+when the isomorphism matcher, fed the stored lists, rejects every
+representative already in its bucket. Buckets live for one order only.
+Results are cached per order and listed in generation order, so repeated
+sweeps are cheap and deterministic.
 
 Each representative of order n >= 2 keeps a link to the representative it
 was grown from, its parent: :func:`parent_indices` gives the parent's
@@ -19,7 +21,7 @@ by induced subgraphs can therefore be read off the parent.
 
 from __future__ import annotations
 
-from .graphs import Graph, is_isomorphic, iter_bits
+from .graphs import Graph, _match, is_isomorphic, iter_bits, vertex_invariants
 
 ENUMERATION_MAX_N = 8
 LABELED_COUNT_MAX_N = 5
@@ -41,7 +43,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
         reps = [Graph(1)]
     else:
         reps = []
-        buckets: dict[tuple, list[Graph]] = {}
+        buckets: dict[tuple, list[tuple[Graph, list]]] = {}
         new_bit = 1 << (n - 1)
         for index, g in enumerate(enumerate_graphs(n - 1)):
             base, deg = g.adj, g.degrees
@@ -55,9 +57,10 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
                 h = Graph._from_adj(n, tuple(adj))
-                bucket = buckets.setdefault(_invariant(h), [])
-                if not any(is_isomorphic(h, r) for r in bucket):
-                    bucket.append(h)
+                inv = vertex_invariants(h)
+                bucket = buckets.setdefault(tuple(sorted(inv)), [])
+                if not any(_match(h, inv, r, r_inv) for r, r_inv in bucket):
+                    bucket.append((h, inv))
                     reps.append(h)
                     parents.append(index)
     _cache[n] = reps
@@ -71,22 +74,6 @@ def parent_indices(n: int) -> list[int]:
     n = 1. Supports 1 <= n <= 8."""
     enumerate_graphs(n)
     return _parents[n]
-
-
-def _invariant(g: Graph) -> tuple:
-    """Sorted per-vertex (degree, triangle count, sorted neighbor degrees);
-    equal for isomorphic graphs."""
-    adj, deg = g.adj, g.degrees
-    return tuple(
-        sorted(
-            (
-                deg[v],
-                sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
-                tuple(sorted(deg[u] for u in iter_bits(a))),
-            )
-            for v, a in enumerate(adj)
-        )
-    )
 
 
 def isomorphism_class_count_labeled(n: int) -> int:

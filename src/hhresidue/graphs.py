@@ -3,8 +3,10 @@ small-graph combinatorics.
 
 Each vertex's neighborhood is stored as an int bitmask, so induced-subgraph
 degrees, independence checks, and subset scans reduce to popcounts.
-Isomorphism is decided exactly by a backtracking search over vertices with
-matching degree profiles.
+One vertex invariant, :func:`vertex_invariants` (degree, triangles through
+the vertex, sorted neighbor degrees), serves both isomorphism and the
+enumeration's buckets. Isomorphism is decided exactly by a backtracking
+search that maps each vertex only to vertices with the same invariant.
 """
 
 from __future__ import annotations
@@ -120,35 +122,40 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._from_adj(k, tuple(adj))
 
 
+def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Per vertex v: (degree, triangles through v, sorted neighbor degrees).
+    An isomorphism maps every vertex to one with the same triple, so
+    isomorphic graphs have equal sorted lists."""
+    adj, deg = g.adj, g.degrees
+    return [
+        (
+            deg[v],
+            sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
+            tuple(sorted(deg[u] for u in iter_bits(a))),
+        )
+        for v, a in enumerate(adj)
+    ]
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """True iff an adjacency-preserving bijection between g and h exists.
+    """True iff an adjacency-preserving bijection between g and h exists."""
+    if g.n != h.n:
+        return False
+    ig, ih = vertex_invariants(g), vertex_invariants(h)
+    return sorted(ig) == sorted(ih) and _match(g, ig, h, ih)
 
-    Backtracking over degree-profile classes with incremental consistency
-    checks.
-    """
+
+def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
+    """Backtracking search for an isomorphism from g to h that maps each
+    vertex to one with the same invariant, checking adjacency to the
+    vertices already mapped. ig and ih are the graphs' vertex_invariants
+    and must be equal as sorted lists."""
     n = g.n
-    if n != h.n:
-        return False
-    if n == 0:
-        return True
-    if sorted(g.degrees) != sorted(h.degrees):
-        return False
-
-    def profiles(gr: Graph) -> list[tuple[int, tuple[int, ...]]]:
-        return [
-            (gr.degrees[v], tuple(sorted(gr.degrees[u] for u in iter_bits(gr.adj[v]))))
-            for v in range(gr.n)
-        ]
-
-    pg, ph = profiles(g), profiles(h)
-    if sorted(pg) != sorted(ph):
-        return False
-
-    by_profile: dict[tuple, list[int]] = {}
+    by_class: dict[tuple, list[int]] = {}
     for w in range(n):
-        by_profile.setdefault(ph[w], []).append(w)
-    # map rare profiles first
-    order = sorted(range(n), key=lambda v: (len(by_profile[pg[v]]), pg[v], v))
+        by_class.setdefault(ih[w], []).append(w)
+    # map rare classes first
+    order = sorted(range(n), key=lambda v: (len(by_class[ig[v]]), ig[v], v))
 
     mapping = [-1] * n
     used = [False] * n
@@ -158,7 +165,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
             return True
         v = order[i]
         av = g.adj[v]
-        for w in by_profile[pg[v]]:
+        for w in by_class[ig[v]]:
             if used[w]:
                 continue
             hw = h.adj[w]

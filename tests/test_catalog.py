@@ -11,8 +11,6 @@ from hhresidue.catalog import (
     complete_bipartite,
     cycle,
     domino,
-    dumbbell_a,
-    dumbbell_b,
     k23_plus,
     path,
 )
@@ -61,14 +59,6 @@ def test_k23_plus_is_complement_of_k2_plus_p3():
 def test_co_domino_is_complement_of_domino():
     assert co_domino() == complement(domino())
     assert domino().degree_sequence() == (3, 3, 2, 2, 2, 2)
-
-
-def test_dumbbells():
-    assert dumbbell_a().degree_sequence() == (3, 3, 2, 2, 2, 2)
-    assert not is_isomorphic(dumbbell_a(), domino())
-    # the prism is 3-regular and is the complement of the 6-cycle
-    assert dumbbell_b().degree_sequence() == (3, 3, 3, 3, 3, 3)
-    assert is_isomorphic(dumbbell_b(), complement(cycle(6)))
 
 
 def test_parameterized_constructors_validate():

@@ -345,6 +345,25 @@ def test_stdout_write_error_exits_2(argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "utf-8"])
+def test_analyze_csv_escapes_non_ascii_bytes(tmp_path, encoding):
+    """CSV lines are pure ASCII, as JSON lines are: a non-ASCII input byte
+    is written as a \\xNN escape whatever stdout's encoding."""
+    src = tmp_path / "in.g6"
+    src.write_bytes(b"A_\n\xc3\xa9\n")
+    proc = run_module(
+        "hhresidue", "analyze", "--input", str(src), "--format", "csv",
+        PYTHONIOENCODING=encoding,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("line 2: byte 195 outside graph6 range")
+    header, first, bad = proc.stdout.splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert first.startswith("A_,2,")
+    assert bad == "\\xc3\\xa9" + "," * 11 + "byte 195 outside graph6 range 63..126 (byte offset 0)"
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["analyze", "--format", "xml"]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from hhresidue.catalog import complete, cycle, path
 from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
-from hhresidue.graphs import is_isomorphic
+from hhresidue.graphs import is_isomorphic, vertex_invariants
 
 from strategies import graphs_up_to
 
@@ -67,3 +67,31 @@ def test_order_bounds():
         enumerate_graphs(9)
     with pytest.raises(ValueError):
         isomorphism_class_count_labeled(6)
+
+
+def test_each_candidate_invariant_is_computed_once(monkeypatch):
+    """Building orders 2..6 from a cold cache computes vertex_invariants
+    once per candidate: once per parent and neighbourhood that leaves the
+    new vertex of minimum degree. Every candidate is a distinct labelled
+    graph, since its parent is its induced subgraph on the old vertices."""
+    from hhresidue import enumeration
+
+    monkeypatch.setattr(enumeration, "_cache", {})
+    monkeypatch.setattr(enumeration, "_parents", {})
+    seen = []
+
+    def counting(g):
+        seen.append(g)
+        return vertex_invariants(g)
+
+    monkeypatch.setattr(enumeration, "vertex_invariants", counting)
+    enumerate_graphs(6)
+    expected = 0
+    for n in range(2, 7):
+        for g in enumeration._cache[n - 1]:
+            for pattern in range(1 << (n - 1)):
+                new_degree = pattern.bit_count()
+                degrees = [d + (pattern >> u & 1) for u, d in enumerate(g.degrees)]
+                expected += all(new_degree <= d for d in degrees)
+    assert len(seen) == len(set(seen)) == expected
+    assert set(g for n in range(2, 7) for g in enumeration._cache[n]) <= set(seen)

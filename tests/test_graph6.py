@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from hhresidue.catalog import complete, empty_graph, path
+from hhresidue.catalog import complete, path
 from hhresidue.graph6 import Graph6Error, emit_graph6, parse_graph6
 from hhresidue.graphs import Graph
 
@@ -68,7 +68,7 @@ def test_parse_rejects_empty_and_nonminimal():
 
 def test_emit_order_bound():
     with pytest.raises(ValueError):
-        emit_graph6(empty_graph(300000))
+        emit_graph6(Graph(300000))
 
 
 @given(graphs(max_n=12))

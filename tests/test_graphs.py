@@ -10,8 +10,6 @@ from hhresidue.catalog import (
     complete,
     complete_bipartite,
     cycle,
-    dumbbell_a,
-    empty_graph,
     k23_plus,
     path,
 )
@@ -21,6 +19,7 @@ from hhresidue.graphs import (
     disjoint_union,
     induced_subgraph,
     is_isomorphic,
+    vertex_invariants,
 )
 
 from strategies import graphs, graphs_with_permutation, relabel
@@ -57,7 +56,7 @@ def test_from_edges_edgeless():
 def test_from_edges_dumbbell():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
     assert g.degree_sequence() == (3, 3, 2, 2, 2, 2)
-    assert is_isomorphic(g, dumbbell_a())
+    assert is_isomorphic(g, Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)]))
 
 
 def test_from_edges_duplicates_collapse():
@@ -89,7 +88,7 @@ def test_graph_is_immutable():
 
 
 def test_complement_k3():
-    assert complement(complete(3)) == empty_graph(3)
+    assert complement(complete(3)) == Graph(3)
 
 
 def test_complement_k2_plus_p3_is_k23_plus():
@@ -111,7 +110,7 @@ def test_complement_degrees(g):
 def test_disjoint_union_examples():
     both = disjoint_union(path(3), path(3))
     assert both.degree_sequence() == (2, 2, 1, 1, 1, 1)
-    assert disjoint_union(path(3), empty_graph(0)) == path(3)
+    assert disjoint_union(path(3), Graph(0)) == path(3)
 
 
 # --- induced subgraphs ------------------------------------------------------
@@ -131,7 +130,7 @@ def test_induced_identity():
 
 def test_induced_k23_small_side():
     sub = induced_subgraph(complete_bipartite(2, 3), [0, 1])
-    assert sub == empty_graph(2)
+    assert sub == Graph(2)
 
 
 def test_induced_rejects_out_of_range():
@@ -170,3 +169,47 @@ def test_is_isomorphic_accepts_relabelings(gp):
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_is_isomorphic_matches_canonical(g, h):
     assert is_isomorphic(g, h) == brute_isomorphic(g, h)
+
+
+def degree_profiles(g):
+    """Sorted (degree, sorted neighbour degrees) per vertex: the invariant
+    without its triangle counts."""
+    return sorted(inv[0::2] for inv in vertex_invariants(g))
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (cycle(6), disjoint_union(complete(3), complete(3))),
+        (complement(cycle(6)), complete_bipartite(3, 3)),
+    ],
+    ids=["C6-vs-2K3", "prism-vs-K33"],
+)
+def test_triangles_separate_graphs_with_equal_degree_profiles(g, h):
+    assert degree_profiles(g) == degree_profiles(h)
+    assert sorted(vertex_invariants(g)) != sorted(vertex_invariants(h))
+    assert not is_isomorphic(g, h)
+    assert not brute_isomorphic(g, h)
+
+
+def test_empty_graphs_are_isomorphic():
+    assert vertex_invariants(Graph(0)) == []
+    assert is_isomorphic(Graph(0), Graph(0))
+
+
+def test_vertex_invariants_examples():
+    # paw: triangle 0-1-2 with pendant 3 on 0
+    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    assert vertex_invariants(paw) == [
+        (3, 1, (1, 2, 2)),
+        (2, 1, (2, 3)),
+        (2, 1, (2, 3)),
+        (1, 0, (3,)),
+    ]
+
+
+@given(graphs_with_permutation(max_n=7))
+def test_vertex_invariants_follow_relabelings(gp):
+    g, perm = gp
+    moved = vertex_invariants(relabel(g, perm))
+    assert all(moved[perm[v]] == inv for v, inv in enumerate(vertex_invariants(g)))

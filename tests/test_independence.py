@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hhresidue.catalog import complete, cycle, empty_graph, path
+from hhresidue.catalog import complete, cycle, path
 from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
 from hhresidue.independence import (
@@ -48,7 +48,7 @@ def test_alpha_examples():
         assert independence_number(complete(n)) == 1
     assert independence_number(path(5)) == brute_alpha(path(5)) == 3
     assert independence_number(cycle(5)) == brute_alpha(cycle(5)) == 2
-    assert independence_number(empty_graph(0)) == 0
+    assert independence_number(Graph(0)) == 0
 
 
 @given(graphs(max_n=10))
@@ -81,9 +81,9 @@ def test_alpha_matches_networkx_clique_of_complement():
 
 def test_alpha_scale_bounds():
     with pytest.raises(ValueError):
-        independence_number(empty_graph(25))
+        independence_number(Graph(25))
     with pytest.raises(ValueError):
-        independence_number_bitmask(empty_graph(21))
+        independence_number_bitmask(Graph(21))
 
 
 # --- vertices common to every maximum independent set ----------------------
@@ -93,12 +93,12 @@ def test_common_mis_examples():
     assert common_mis_mask(cycle(4)) == 0
     assert common_mis_mask(path(5)) == 0b10101
     assert common_mis_mask(complete(3)) == 0
-    assert common_mis_mask(empty_graph(3)) == 0b111
+    assert common_mis_mask(Graph(3)) == 0b111
 
 
 def test_common_mis_scale_bound():
     with pytest.raises(ValueError):
-        common_mis_mask(empty_graph(21))
+        common_mis_mask(Graph(21))
 
 
 def test_common_mis_matches_networkx_on_classes_up_to_7():
@@ -182,7 +182,7 @@ def test_branches_c5():
 
 def test_branches_scale_bound():
     with pytest.raises(ValueError):
-        maxine_all_branches(empty_graph(10))
+        maxine_all_branches(Graph(10))
 
 
 def test_maxine_optimal_on_c4_p5_free_graphs():
