@@ -30,6 +30,8 @@ def main() -> int:
     args = parser.parse_args()
     if not 1 <= args.max_n <= ENUMERATION_MAX_N:
         parser.error(f"--max-n must be in 1..{ENUMERATION_MAX_N}")
+    if args.examples < 0:
+        parser.error("--examples must be nonnegative")
 
     print(f"{'n':>2} {'graphs':>7} {'in-class':>9} {'R=alpha':>8} "
           f"{'R=alpha outside':>16}  gap distribution")

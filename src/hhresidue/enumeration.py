@@ -2,14 +2,17 @@
 
 Representatives of order n are grown from those of order n-1 by attaching a
 new vertex, but only with neighborhoods that make it a minimum-degree
-vertex of the result. The sweep is complete: every graph on n vertices is
-its min-degree-vertex-deleted subgraph plus that vertex. Each candidate's
-:func:`~hhresidue.graphs.vertex_invariants` list is computed once; its
-sorted form is the candidate's bucket key, and the candidate is kept only
-when the isomorphism matcher, fed the stored lists, rejects every
-representative already in its bucket. Buckets live for one order only.
-Results are cached per order and listed in generation order, so repeated
-sweeps are cheap and deterministic.
+vertex of the result. Each such candidate's
+:func:`~hhresidue.graphs.vertex_invariants` list is computed once, and the
+candidate is dropped unless the new vertex has the least entry in it (the
+cheap half of McKay's canonical augmentation). The sweep is complete: the
+invariant is isomorphism-invariant, so every graph on n vertices is its
+least-invariant-vertex-deleted subgraph plus that vertex. The sorted list
+is a kept candidate's bucket key, and the candidate becomes a
+representative only when the isomorphism matcher, fed the stored lists,
+rejects every representative already in its bucket. Buckets live for one
+order only. Results are cached per order and listed in generation order,
+so repeated sweeps are cheap and deterministic.
 
 Each representative of order n >= 2 keeps a link to the representative it
 was grown from, its parent: :func:`parent_indices` gives the parent's
@@ -58,6 +61,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
                     adj[u] |= new_bit
                 h = Graph._from_adj(n, tuple(adj))
                 inv = vertex_invariants(h)
+                # the new vertex must also have the least invariant
+                if inv[-1] != min(inv):
+                    continue
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])
                 if not any(_match(h, inv, r, r_inv) for r, r_inv in bucket):
                     bucket.append((h, inv))

@@ -3,6 +3,9 @@ small-graph combinatorics.
 
 Each vertex's neighborhood is stored as an int bitmask, so induced-subgraph
 degrees, independence checks, and subset scans reduce to popcounts.
+:func:`iter_bits` turns a vertex-set mask into an ascending tuple of
+vertices; for masks below 2^9 (every vertex set of a graph of order <= 9)
+it reads a table built at import.
 One vertex invariant, :func:`vertex_invariants` (degree, triangles through
 the vertex, sorted neighbor degrees), serves both isomorphism and the
 enumeration's buckets. Isomorphism is decided exactly by a backtracking
@@ -14,12 +17,27 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
-def iter_bits(mask: int):
-    """Yield the indices of the set bits of mask in increasing order."""
+# _BITS[m] is iter_bits(m) for every m < 2**9, built by doubling: the
+# masks with top bit b are those below 2**b, each with b appended.
+_BITS: list[tuple[int, ...]] = [()]
+for _b in range(9):
+    _BITS += [bits + (_b,) for bits in _BITS]
+del _b
+_TABLE_SIZE = len(_BITS)
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask, in increasing order, as a
+    tuple. Masks below 2**9 (every vertex set of a graph of order <= 9)
+    are read from a table; larger ones are decoded bit by bit."""
+    if mask < _TABLE_SIZE:
+        return _BITS[mask]
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(bits)
 
 
 class Graph:

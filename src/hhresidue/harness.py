@@ -267,7 +267,7 @@ def in_induced_c4(g: Graph, v: int) -> bool:
     """True iff v lies on an induced 4-cycle: two non-adjacent neighbors of
     v with a common neighbor that is not adjacent to v."""
     adj = g.adj
-    nbrs = list(iter_bits(adj[v]))
+    nbrs = iter_bits(adj[v])
     for i, w in enumerate(nbrs):
         for x in nbrs[i + 1 :]:
             if adj[w] >> x & 1:
@@ -280,7 +280,7 @@ def in_induced_c4(g: Graph, v: int) -> bool:
 def is_induced_p5_center(g: Graph, v: int) -> bool:
     """True iff v is the middle vertex of an induced 5-path a-w-v-x-b."""
     adj = g.adj
-    nbrs = list(iter_bits(adj[v]))
+    nbrs = iter_bits(adj[v])
     for w in nbrs:
         for x in nbrs:
             if w == x or adj[w] >> x & 1:

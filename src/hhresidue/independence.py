@@ -3,8 +3,9 @@ heuristic.
 
 Two exact routes to the independence number cross-check each other: a
 branch-and-bound on a maximum-degree vertex with a greedy clique-cover
-bound, and an exhaustive bitmask sweep, which also gives the vertices
-common to every maximum independent set. Maxine can be run with a fixed
+bound, and an exhaustive sweep over every independent set, grown depth
+first one higher vertex at a time, which also gives the vertices common
+to every maximum independent set. Maxine can be run with a fixed
 tie-breaking strategy or branched over every choice of maximum-degree
 vertex, collecting the full set of achievable independent-set sizes.
 """
@@ -75,47 +76,45 @@ def independence_number(g: Graph) -> int:
 
 
 def independence_number_bitmask(g: Graph) -> int:
-    """Exhaustive oracle: sweep all 2^n vertex subsets, extending the
-    independence record one lowest bit at a time. Independent of the
-    branch-and-bound route."""
+    """Exhaustive oracle: visit every independent set (see _subset_sweep).
+    Independent of the branch-and-bound route."""
     if g.n > BITMASK_MAX_N:
         raise ValueError(f"graph order {g.n} exceeds bitmask-oracle bound {BITMASK_MAX_N}")
-    return _subset_sweep(g)[1]
+    return _subset_sweep(g)[0]
 
 
 def common_mis_mask(g: Graph) -> int:
     """Bitmask of the vertices lying in every maximum independent set: the
-    AND of the masks of maximum size in the subset sweep."""
+    AND of the maximum sets met by the subset sweep."""
     if g.n > BITMASK_MAX_N:
         raise ValueError(f"graph order {g.n} exceeds bitmask-sweep bound {BITMASK_MAX_N}")
-    size, best = _subset_sweep(g)
-    common = (1 << g.n) - 1
-    for m, s in enumerate(size):
-        if s == best:
-            common &= m
-    return common
+    return _subset_sweep(g)[1]
 
 
-def _subset_sweep(g: Graph) -> tuple[list[int], int]:
-    """Size of every vertex subset as an independent set (-1 when it is not
-    independent), indexed by bitmask, and the largest size. Each subset
-    extends the record of itself minus its lowest vertex."""
+def _subset_sweep(g: Graph) -> tuple[int, int]:
+    """The independence number and the AND of the maximum independent sets,
+    by visiting every independent set once, depth first: a set is extended
+    by each higher vertex adjacent to none of its members. A maximum set
+    has no such vertex left, so only those sets are compared."""
     adj = g.adj
-    size = [0] * (1 << g.n)
-    best = 0
-    for m in range(1, 1 << g.n):
-        low = m & -m
-        v = low.bit_length() - 1
-        rest = m ^ low
-        s = size[rest]
-        if s >= 0 and not adj[v] & rest:
-            s += 1
-            size[m] = s
-            if s > best:
-                best = s
-        else:
-            size[m] = -1
-    return size, best
+    best, common = 0, (1 << g.n) - 1
+
+    def extend(chosen: int, size: int, cand: int) -> None:
+        nonlocal best, common
+        if not cand:
+            if size > best:
+                best, common = size, chosen
+            elif size == best:
+                common &= chosen
+            return
+        size += 1
+        for v in iter_bits(cand):
+            bit = 1 << v
+            # -(bit << 1) keeps the bits above v
+            extend(chosen | bit, size, cand & ~adj[v] & -(bit << 1))
+
+    extend(0, 0, (1 << g.n) - 1)
+    return best, common
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def maxine_run(g: Graph, strategy: str = "first", seed: int | None = None) -> Ma
             v = rng.choice(cands)
         deletions.append(v)
         mask ^= 1 << v
-    survivors = tuple(iter_bits(mask))
+    survivors = iter_bits(mask)
     return MaxineOutcome(tuple(deletions), survivors, len(survivors))
 
 

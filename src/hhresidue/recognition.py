@@ -7,7 +7,10 @@ A graph is *strong Havel-Hakimi* when every maximum-degree vertex of every
 induced subgraph has the property. Two independent recognizers are
 provided: the definitional subset sweep, which also names the first
 violating subset, and a scan for the nine minimal forbidden induced
-subgraphs. The module also tests the five-vertex configuration whose
+subgraphs. Per subset, the sweep sorts the vertices into one bitmask per
+induced degree; a maximum-degree vertex fails when one of its
+non-neighbors lies in a level above the lowest level that meets its
+neighborhood. The module also tests the five-vertex configuration whose
 absence characterizes matrogenic graphs, and threshold graphs via their
 {2K2, C4, P4}-free characterization.
 
@@ -66,20 +69,32 @@ def definitional_violation(g: Graph, *, _start: int = 1) -> int | None:
         raise ValueError(f"graph order {g.n} exceeds definitional-oracle bound {DEFINITIONAL_MAX_N}")
     n, adj = g.n, g.adj
     for mask in range(_start, 1 << n):
-        verts = list(iter_bits(mask))
-        degs = [(adj[v] & mask).bit_count() for v in verts]
-        dmax = max(degs)
-        for v, dv in zip(verts, degs):
-            if dv != dmax:
-                continue
+        verts = iter_bits(mask)
+        # levels[d]: the vertices of induced degree d
+        levels = [0] * len(verts)
+        dmax = 0
+        for v in verts:
+            d = (adj[v] & mask).bit_count()
+            levels[d] |= 1 << v
+            if d > dmax:
+                dmax = d
+        top = levels[dmax]
+        if top == mask:
+            continue  # regular, so no non-neighbor has larger degree
+        # dmax >= 1 here, so every v in top has a neighbor in mask
+        for v in iter_bits(top):
             nbm = adj[v] & mask
-            non = mask & ~nbm & ~(1 << v)
-            if not nbm or not non:
+            non = mask ^ nbm ^ (1 << v)
+            if not non:
                 continue
-            mn = min((adj[u] & mask).bit_count() for u in iter_bits(nbm))
-            mx = max((adj[u] & mask).bit_count() for u in iter_bits(non))
-            if mn < mx:
-                return mask
+            above = mask
+            for level in levels:
+                above ^= level
+                if level & nbm:
+                    # level holds v's least-degree neighbors
+                    if above & non:
+                        return mask
+                    break
     return None
 
 
@@ -223,9 +238,7 @@ def find_matrogenic_config(g: Graph) -> ConfigWitness | None:
                 pool = au & ~adj[w] & ~(1 << v) & ~(1 << w)
                 if pool.bit_count() >= 2:
                     bits = iter_bits(pool)
-                    x = next(bits)
-                    y = next(bits)
-                    return ConfigWitness(v, w, u, x, y)
+                    return ConfigWitness(v, w, u, bits[0], bits[1])
     return None
 
 

@@ -60,6 +60,15 @@ def test_deterministic_and_cached():
     assert a == list(graphs_up_to(5))[-34:]
 
 
+def test_new_vertex_has_least_invariant():
+    """The augmentation filter: each representative's last vertex, the one
+    attached to its parent, has the least vertex invariant."""
+    for n in range(2, 9):
+        for g in enumerate_graphs(n):
+            inv = vertex_invariants(g)
+            assert inv[-1] == min(inv), g
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         enumerate_graphs(0)

@@ -19,6 +19,7 @@ from hhresidue.graphs import (
     disjoint_union,
     induced_subgraph,
     is_isomorphic,
+    iter_bits,
     vertex_invariants,
 )
 
@@ -39,6 +40,24 @@ def brute_isomorphic(g, h):
 
 
 # --- construction -----------------------------------------------------------
+
+
+def bits_ref(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("mask", [0, 1, 511, 512, 513, (1 << 20) + 5])
+def test_iter_bits_examples(mask):
+    bits = iter_bits(mask)
+    assert type(bits) is tuple
+    assert bits == bits_ref(mask)
+
+
+@given(st.integers(0, (1 << 30) - 1))
+def test_iter_bits_is_ascending_tuple_of_set_bits(mask):
+    bits = iter_bits(mask)
+    assert type(bits) is tuple
+    assert bits == bits_ref(mask)
 
 
 def test_from_edges_path():

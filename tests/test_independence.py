@@ -1,5 +1,6 @@
 """Exact independence numbers and the Maxine heuristic."""
 
+import itertools
 import random
 
 import pytest
@@ -115,6 +116,29 @@ def test_common_mis_matches_networkx_on_classes_up_to_7():
         size = max(map(len, cliques))
         common = set(range(g.n)).intersection(*(c for c in cliques if len(c) == size))
         assert common_mis_mask(g) == sum(1 << v for v in common), g
+
+
+def brute_alpha_and_common(g):
+    """Over itertools.combinations, largest size first: the first size with
+    an independent set is alpha, and the AND of those sets is the mask."""
+    for size in range(g.n, -1, -1):
+        sets = [
+            sum(1 << v for v in c)
+            for c in itertools.combinations(range(g.n), size)
+            if not any(g.adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))
+        ]
+        if sets:
+            common = (1 << g.n) - 1
+            for m in sets:
+                common &= m
+            return size, common
+
+
+@given(graphs(max_n=14))
+def test_exhaustive_routes_match_combinations(g):
+    alpha, common = brute_alpha_and_common(g)
+    assert independence_number_bitmask(g) == alpha
+    assert common_mis_mask(g) == common
 
 
 # --- Maxine, single runs ---------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from hhresidue.catalog import (
@@ -224,6 +224,51 @@ def test_first_violation_is_full_set_iff_minimal_forbidden(g):
         sub = induced_subgraph(g, iter_bits(first))
         dmax = max(sub.degrees)
         assert any(sub.degrees[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n))
+
+
+def first_violation_ref(g):
+    """Reference route: the first mask, in numeric order, whose induced
+    subgraph has a maximum-degree vertex lacking the property."""
+    for mask in range(1, 1 << g.n):
+        sub = induced_subgraph(g, iter_bits(mask))
+        dmax = max(sub.degrees)
+        if any(sub.degrees[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n)):
+            return mask
+    return None
+
+
+@st.composite
+def graphs_with_in_class_prefix(draw, min_n, max_n):
+    """A graph whose vertices 0..n-2 induce a strong Havel-Hakimi graph,
+    so its first violation, if any, contains vertex n-1. The prefix grows
+    one vertex at a time: a drawn neighborhood is kept when the graph stays
+    in the class, else the vertex is isolated or dominating, which keeps
+    it in the class. The last vertex's neighborhood is arbitrary."""
+    n = draw(st.integers(min_n, max_n))
+    g = Graph(0)
+    while g.n < n:
+        k = g.n
+        nbrs = draw(st.integers(0, (1 << k) - 1))
+        h = Graph(k + 1, g.edges() + [(u, k) for u in iter_bits(nbrs)])
+        if k < n - 1 and strong_hh_witness(h) is not None:
+            nbrs = (1 << k) - 1 if draw(st.booleans()) else 0
+            h = Graph(k + 1, g.edges() + [(u, k) for u in iter_bits(nbrs)])
+        g = h
+    return g
+
+
+@pytest.mark.parametrize("min_n, max_n", [(1, 9), (10, 12)])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_definitional_violation_matches_reference(min_n, max_n, data):
+    """Half the examples have order 10..12, so the sweep's masks pass 2^9,
+    and about half of all have an in-class prefix, so the sweep reaches
+    the masks that contain the top vertex."""
+    g = data.draw(st.one_of(graphs(min_n, max_n), graphs_with_in_class_prefix(min_n, max_n)))
+    first = definitional_violation(g)
+    assert first == first_violation_ref(g)
+    if strong_hh_witness(induced_subgraph(g, range(g.n - 1))) is None:
+        assert definitional_violation(g, _start=1 << (g.n - 1)) == first
 
 
 def test_catalog_first_violation_is_full_set():

@@ -37,3 +37,15 @@ def test_residue_gap_survey_rejects_out_of_range_order():
         assert proc.returncode == 2, max_n
         assert proc.stdout == ""
         assert "--max-n must be in 1..8" in proc.stderr
+
+
+def test_residue_gap_survey_rejects_negative_examples():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "residue_gap_survey.py"), "--max-n", "5", "--examples", "-2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--examples must be nonnegative" in proc.stderr
