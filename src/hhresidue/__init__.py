@@ -1,119 +1,10 @@
 """Degree-sequence residues, strong Havel-Hakimi graphs, and independent
-sets, with exhaustive small-graph checks of the facts tying them together."""
+sets, with exhaustive small-graph checks of the facts tying them together.
 
-from .catalog import (
-    FORBIDDEN_SUBGRAPHS,
-    complete,
-    complete_bipartite,
-    co_domino,
-    cycle,
-    domino,
-    k23_plus,
-    kite,
-    p3_plus_k3,
-    pan4,
-    path,
-    stool,
-    two_p3,
-)
-from .degseq import (
-    ReductionTrace,
-    hh_reduce,
-    hh_step,
-    is_graphical,
-    is_graphical_erdos_gallai,
-    residue,
-)
-from .enumeration import enumerate_graphs, isomorphism_class_count_labeled
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .graphs import (
-    Graph,
-    complement,
-    disjoint_union,
-    induced_subgraph,
-    is_isomorphic,
-    vertex_invariants,
-)
-from .harness import (
-    THEOREM_CHECKS,
-    GraphRecord,
-    TheoremReport,
-    Violation,
-    records_up_to,
-    verify,
-)
-from .independence import (
-    MaxineBranchSummary,
-    MaxineOutcome,
-    common_mis_mask,
-    independence_number,
-    independence_number_bitmask,
-    maxine_all_branches,
-    maxine_run,
-)
-from .recognition import (
-    ConfigWitness,
-    ForbiddenWitness,
-    definitional_violation,
-    find_matrogenic_config,
-    has_hh_property,
-    is_matrogenic_config_free,
-    is_strong_havel_hakimi_definitional,
-    is_threshold,
-    strong_hh_witness,
-)
+Import each name from its module, e.g. ``from hhresidue.graphs import
+Graph``; the package itself re-exports only the three names below."""
 
-__all__ = [
-    "FORBIDDEN_SUBGRAPHS",
-    "ConfigWitness",
-    "ForbiddenWitness",
-    "Graph",
-    "Graph6Error",
-    "GraphRecord",
-    "MaxineBranchSummary",
-    "MaxineOutcome",
-    "ReductionTrace",
-    "THEOREM_CHECKS",
-    "TheoremReport",
-    "Violation",
-    "co_domino",
-    "common_mis_mask",
-    "complement",
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "definitional_violation",
-    "disjoint_union",
-    "domino",
-    "emit_graph6",
-    "enumerate_graphs",
-    "find_matrogenic_config",
-    "has_hh_property",
-    "hh_reduce",
-    "hh_step",
-    "independence_number",
-    "independence_number_bitmask",
-    "induced_subgraph",
-    "is_graphical",
-    "is_graphical_erdos_gallai",
-    "is_isomorphic",
-    "is_matrogenic_config_free",
-    "is_strong_havel_hakimi_definitional",
-    "is_threshold",
-    "isomorphism_class_count_labeled",
-    "k23_plus",
-    "kite",
-    "maxine_all_branches",
-    "maxine_run",
-    "p3_plus_k3",
-    "pan4",
-    "parse_graph6",
-    "path",
-    "records_up_to",
-    "residue",
-    "stool",
-    "strong_hh_witness",
-    "two_p3",
-    "verify",
-    "vertex_invariants",
-]
+# the benchmark's oracles (bench/oracles.py) import these from the top level
+from .graphs import Graph
+from .independence import independence_number_bitmask
+from .recognition import is_strong_havel_hakimi_definitional

@@ -77,7 +77,7 @@ def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = N
         "in_s": w is None if scans else SKIPPED,
         "matrogenic_config_free": rec.config_free if scans else SKIPPED,
         "threshold": rec.threshold if scans else SKIPPED,
-        "witness": f"{w.name}:{','.join(map(str, w.vertices))}" if w else None,
+        "witness": (f"{w.name}:{','.join(map(str, w.vertices))}" if w else None) if scans else SKIPPED,
     }
 
 

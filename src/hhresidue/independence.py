@@ -29,8 +29,6 @@ def independence_number(g: Graph) -> int:
     if g.n > ALPHA_MAX_N:
         raise ValueError(f"graph order {g.n} exceeds branch-and-bound bound {ALPHA_MAX_N}")
     n, adj = g.n, g.adj
-    if n == 0:
-        return 0
     best = 0
 
     def clique_cover_bound(mask: int) -> int:
@@ -78,16 +76,12 @@ def independence_number(g: Graph) -> int:
 def independence_number_bitmask(g: Graph) -> int:
     """Exhaustive oracle: visit every independent set (see _subset_sweep).
     Independent of the branch-and-bound route."""
-    if g.n > BITMASK_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds bitmask-oracle bound {BITMASK_MAX_N}")
     return _subset_sweep(g)[0]
 
 
 def common_mis_mask(g: Graph) -> int:
     """Bitmask of the vertices lying in every maximum independent set: the
     AND of the maximum sets met by the subset sweep."""
-    if g.n > BITMASK_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds bitmask-sweep bound {BITMASK_MAX_N}")
     return _subset_sweep(g)[1]
 
 
@@ -96,6 +90,8 @@ def _subset_sweep(g: Graph) -> tuple[int, int]:
     by visiting every independent set once, depth first: a set is extended
     by each higher vertex adjacent to none of its members. A maximum set
     has no such vertex left, so only those sets are compared."""
+    if g.n > BITMASK_MAX_N:
+        raise ValueError(f"graph order {g.n} exceeds subset-sweep bound {BITMASK_MAX_N}")
     adj = g.adj
     best, common = 0, (1 << g.n) - 1
 

@@ -1,5 +1,7 @@
 """Command-line front end: residue traces, analysis records, verification."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -150,6 +152,18 @@ def test_analyze_skips_out_of_scale_fields(tmp_path, capsys):
     rec = json.loads(out.splitlines()[0])
     assert rec["maxine_min"] == "skipped: scale"
     assert rec["alpha"] == 6  # still within the exact-alpha bound
+
+
+def test_analyze_skips_the_witness_beyond_the_class_scan_bound(tmp_path, capsys):
+    src = write_lines(tmp_path, [emit_graph6(path(21))])  # beyond CLASS_SCAN_MAX_N
+    code, out, _ = run(capsys, "analyze", "--input", src)
+    assert code == 0
+    rec = json.loads(out.splitlines()[0])
+    assert rec["in_s"] == rec["witness"] == "skipped: scale"
+    code, out, _ = run(capsys, "analyze", "--input", src, "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["in_s"] == row["witness"] == "skipped: scale"
 
 
 def test_analyze_output_deterministic(tmp_path, capsys):
