@@ -59,9 +59,9 @@ def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = N
     rec = GraphRecord(g)
     n = g.n
     if strategy != "all-branches":
-        maxine_min = maxine_max = maxine_run(g, strategy=strategy, seed=seed).size
+        maxine_min = maxine_max = len(maxine_run(g, strategy=strategy, seed=seed).survivors)
     elif n <= BRANCH_MAX_N:
-        maxine_min, maxine_max = rec.branches.min_size, rec.branches.max_size
+        maxine_min, maxine_max = rec.maxine_sizes[0], rec.maxine_sizes[-1]
     else:
         maxine_min = maxine_max = SKIPPED
     scans = n <= CLASS_SCAN_MAX_N

@@ -2,7 +2,7 @@
 on, over one shared per-graph record.
 
 A :class:`GraphRecord` holds the facts about one graph that the checks and
-``analyze`` read: graph6, residue, alpha, the Maxine branches, the
+``analyze`` read: graph6, residue, alpha, the Maxine sizes, the
 forbidden-subgraph witness, the first definitional violation, threshold
 and configuration-free membership, and the vertices common to every
 maximum independent set. Each is computed on first access and kept.
@@ -53,12 +53,7 @@ from .degseq import residue
 from .enumeration import ENUMERATION_MAX_N, enumerate_graphs, parent_indices
 from .graph6 import emit_graph6
 from .graphs import Graph, is_isomorphic, iter_bits
-from .independence import (
-    MaxineBranchSummary,
-    independence_number,
-    common_mis_mask,
-    maxine_all_branches,
-)
+from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
     ForbiddenWitness,
     definitional_violation,
@@ -91,7 +86,7 @@ class GraphRecord:
         return independence_number(self.graph)
 
     @cached_property
-    def branches(self) -> MaxineBranchSummary:
+    def maxine_sizes(self) -> tuple[int, ...]:
         return maxine_all_branches(self.graph)
 
     @cached_property
@@ -237,14 +232,14 @@ def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
 def _residue_bounds(rec: GraphRecord) -> list[str]:
     """residue <= alpha, and residue <= M <= alpha for every achievable
     Maxine size."""
-    r, alpha, branches = rec.residue, rec.alpha, rec.branches
+    r, alpha, sizes = rec.residue, rec.alpha, rec.maxine_sizes
     messages = []
     if r > alpha:
         messages.append(f"residue {r} exceeds alpha {alpha}")
-    if r > branches.min_size:
-        messages.append(f"Maxine size {branches.min_size} below residue {r}")
-    if branches.max_size > alpha:
-        messages.append(f"Maxine size {branches.max_size} exceeds alpha {alpha}")
+    if r > sizes[0]:
+        messages.append(f"Maxine size {sizes[0]} below residue {r}")
+    if sizes[-1] > alpha:
+        messages.append(f"Maxine size {sizes[-1]} exceeds alpha {alpha}")
     return messages
 
 
@@ -257,7 +252,7 @@ def _r_equals_alpha(rec: GraphRecord) -> list[str]:
     messages = []
     if r != alpha:
         messages.append(f"in-class graph has residue {r} != alpha {alpha}")
-    sizes = rec.branches.achievable_sizes
+    sizes = rec.maxine_sizes
     if sizes != (r,):
         messages.append(f"Maxine sizes {sizes} differ from residue {r}")
     return messages

@@ -121,7 +121,6 @@ class MaxineOutcome:
 
     deletions: tuple[int, ...]
     survivors: tuple[int, ...]
-    size: int
 
 
 def _max_degree_candidates(adj: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
@@ -163,48 +162,32 @@ def maxine_run(g: Graph, strategy: str = "first", seed: int | None = None) -> Ma
             v = rng.choice(cands)
         deletions.append(v)
         mask ^= 1 << v
-    survivors = iter_bits(mask)
-    return MaxineOutcome(tuple(deletions), survivors, len(survivors))
+    return MaxineOutcome(tuple(deletions), iter_bits(mask))
 
 
-@dataclass(frozen=True)
-class MaxineBranchSummary:
-    """All outcomes of Maxine over every choice of maximum-degree vertex at
-    every step. branch_count is the number of distinct deletion sequences;
-    exploration deduplicates on the residual vertex set, which determines
-    the remainder of any run."""
-
-    achievable_sizes: tuple[int, ...]
-    min_size: int
-    max_size: int
-    branch_count: int
-
-
-def maxine_all_branches(g: Graph) -> MaxineBranchSummary:
-    """Exact set of independent-set sizes achievable by Maxine on g."""
+def maxine_all_branches(g: Graph) -> tuple[int, ...]:
+    """Exact independent-set sizes achievable by Maxine on g over every
+    choice of maximum-degree vertex at every step, in ascending order.
+    Each residual vertex set determines the rest of any run, so it is
+    explored once, memoised as a mask with bit s set for each size s it
+    can reach."""
     if g.n > BRANCH_MAX_N:
         raise ValueError(f"graph order {g.n} exceeds branch-exploration bound {BRANCH_MAX_N}")
     adj = g.adj
-    memo: dict[int, tuple[frozenset[int], int]] = {}
+    memo: dict[int, int] = {}
 
-    def explore(mask: int) -> tuple[frozenset[int], int]:
+    def explore(mask: int) -> int:
         got = memo.get(mask)
         if got is not None:
             return got
         dmax, cands = _max_degree_candidates(adj, mask)
         if dmax <= 0:
-            result = (frozenset((mask.bit_count(),)), 1)
+            sizes = 1 << mask.bit_count()
         else:
-            sizes: set[int] = set()
-            paths = 0
+            sizes = 0
             for v in cands:
-                sub_sizes, sub_paths = explore(mask ^ (1 << v))
-                sizes |= sub_sizes
-                paths += sub_paths
-            result = (frozenset(sizes), paths)
-        memo[mask] = result
-        return result
+                sizes |= explore(mask ^ (1 << v))
+        memo[mask] = sizes
+        return sizes
 
-    sizes, paths = explore((1 << g.n) - 1)
-    ordered = tuple(sorted(sizes))
-    return MaxineBranchSummary(ordered, ordered[0], ordered[-1], paths)
+    return iter_bits(explore((1 << g.n) - 1))

@@ -90,8 +90,7 @@ def test_criterion_05_slow_extension_n8():
 def test_criterion_06_maxine_on_p5():
     from hhresidue.catalog import path
 
-    summary = maxine_all_branches(path(5))
-    report("6 Maxine sizes on the 5-path", summary.achievable_sizes == (2, 3))
+    report("6 Maxine sizes on the 5-path", maxine_all_branches(path(5)) == (2, 3))
 
 
 def test_criterion_07_lemma_c4_p5():

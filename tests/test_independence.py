@@ -41,6 +41,17 @@ def replay_is_valid_maxine(g, outcome):
     return tuple(iter_bits(mask)) == outcome.survivors
 
 
+def brute_maxine_sizes(g, alive=None):
+    """Unmemoised reference: follow every maximum-degree deletion sequence
+    to its end and collect the sizes of the surviving sets."""
+    alive = frozenset(range(g.n)) if alive is None else alive
+    deg = {v: sum(g.adj[v] >> u & 1 for u in alive) for v in alive}
+    top = max(deg.values(), default=0)
+    if top == 0:
+        return {len(alive)}
+    return set().union(*(brute_maxine_sizes(g, alive - {v}) for v in alive if deg[v] == top))
+
+
 # --- exact alpha ---------------------------------------------------------
 
 
@@ -145,21 +156,20 @@ def test_exhaustive_routes_match_combinations(g):
 
 
 def test_maxine_k2():
-    assert maxine_run(complete(2)).size == 1
+    assert len(maxine_run(complete(2)).survivors) == 1
 
 
 def test_maxine_c4_all_strategies():
     for strategy in ("first", "last"):
-        assert maxine_run(cycle(4), strategy).size == 2
+        assert len(maxine_run(cycle(4), strategy).survivors) == 2
     for seed in range(5):
-        assert maxine_run(cycle(4), "random", seed=seed).size == 2
+        assert len(maxine_run(cycle(4), "random", seed=seed).survivors) == 2
 
 
 def test_maxine_p5_first_strategy():
     out = maxine_run(path(5), "first")
     assert out.deletions == (1, 3)
     assert out.survivors == (0, 2, 4)
-    assert out.size == 3
 
 
 def test_maxine_random_is_seeded():
@@ -180,33 +190,37 @@ def test_maxine_outcomes_are_valid(g, strategy, seed):
         not g.adj[u] >> v & 1 for u in survivors for v in survivors if u < v
     )
     assert replay_is_valid_maxine(g, out)
-    assert out.size == len(out.survivors)
 
 
 # --- Maxine, all branches ---------------------------------------------------
 
 
 def test_branches_p5():
-    summary = maxine_all_branches(path(5))
-    assert summary.achievable_sizes == (2, 3)
-    assert (summary.min_size, summary.max_size) == (2, 3)
-    assert summary.branch_count == 10
+    assert maxine_all_branches(path(5)) == (2, 3)
 
 
 def test_branches_complete():
     for n in range(1, 7):
-        assert maxine_all_branches(complete(n)).achievable_sizes == (1,)
+        assert maxine_all_branches(complete(n)) == (1,)
 
 
 def test_branches_c5():
-    summary = maxine_all_branches(cycle(5))
-    assert summary.achievable_sizes == (2,)
-    assert summary.branch_count == 20
+    assert maxine_all_branches(cycle(5)) == (2,)
 
 
 def test_branches_scale_bound():
     with pytest.raises(ValueError):
         maxine_all_branches(Graph(10))
+
+
+def test_branches_match_reference_on_every_class():
+    for g in graphs_up_to(6):
+        assert maxine_all_branches(g) == tuple(sorted(brute_maxine_sizes(g)))
+
+
+@given(graphs(max_n=7))
+def test_branches_match_reference(g):
+    assert maxine_all_branches(g) == tuple(sorted(brute_maxine_sizes(g)))
 
 
 def test_maxine_optimal_on_c4_p5_free_graphs():
@@ -217,19 +231,19 @@ def test_maxine_optimal_on_c4_p5_free_graphs():
         if _first_induced(g, (cycle(4), path(5))) is not None:
             continue
         checked += 1
-        assert maxine_all_branches(g).achievable_sizes == (independence_number(g),)
+        assert maxine_all_branches(g) == (independence_number(g),)
     assert checked > 100
 
 
 @given(graphs(max_n=6))
 def test_branch_sizes_between_residue_and_alpha(g):
-    summary = maxine_all_branches(g)
+    sizes = maxine_all_branches(g)
     r = residue(g.degree_sequence())
     alpha = independence_number(g)
-    assert r <= summary.min_size <= summary.max_size <= alpha
+    assert r <= sizes[0] <= sizes[-1] <= alpha
 
 
 @given(graphs(max_n=6), st.sampled_from(["first", "last", "random"]))
 def test_single_runs_land_in_achievable_sizes(g, strategy):
-    summary = maxine_all_branches(g)
-    assert maxine_run(g, strategy, seed=3).size in summary.achievable_sizes
+    out = maxine_run(g, strategy, seed=3)
+    assert len(out.survivors) in maxine_all_branches(g)
