@@ -26,13 +26,10 @@ from collections.abc import Iterable
 
 from .degseq import ALL_ZERO, NEGATIVE_TERM, hh_reduce
 from .graph6 import Graph6Error, parse_graph6
-from .graphs import Graph
+from .graphs import SCALE_MAX_N, Graph
 from .harness import THEOREM_CHECKS, GraphRecord, verify
-from .independence import ALPHA_MAX_N, BRANCH_MAX_N, maxine_run
+from .independence import maxine_run
 
-# Class-membership scans are polynomial but steep (subset scans up to size
-# 6); records for larger inputs mark them skipped.
-CLASS_SCAN_MAX_N = 20
 SKIPPED = "skipped: scale"
 
 CSV_COLUMNS = (
@@ -54,24 +51,24 @@ CSV_COLUMNS = (
 def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = None) -> dict:
     """One output row, keyed by the CSV columns before "error", read from
     a GraphRecord. Exact alpha, Maxine branching and the class scans
-    respect their scale bounds, holding "skipped: scale" beyond them;
-    single-run Maxine strategies have none."""
+    hold "skipped: scale" beyond their bounds in SCALE_MAX_N; single-run
+    Maxine strategies have none."""
     rec = GraphRecord(g)
     n = g.n
     if strategy != "all-branches":
         maxine_min = maxine_max = len(maxine_run(g, strategy=strategy, seed=seed).survivors)
-    elif n <= BRANCH_MAX_N:
+    elif n <= SCALE_MAX_N["maxine branching"]:
         maxine_min, maxine_max = rec.maxine_sizes[0], rec.maxine_sizes[-1]
     else:
         maxine_min = maxine_max = SKIPPED
-    scans = n <= CLASS_SCAN_MAX_N
+    scans = n <= SCALE_MAX_N["class scans"]
     w = rec.witness if scans else None
     return {
         "graph6": rec.graph6,
         "n": n,
         "degree_sequence": list(g.degree_sequence()),
         "residue": rec.residue,
-        "alpha": rec.alpha if n <= ALPHA_MAX_N else SKIPPED,
+        "alpha": rec.alpha if n <= SCALE_MAX_N["alpha"] else SKIPPED,
         "maxine_min": maxine_min,
         "maxine_max": maxine_max,
         "in_s": w is None if scans else SKIPPED,
@@ -246,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("theorem", choices=sorted([*THEOREM_CHECKS, "all"]))
     p_ver.add_argument(
         "--max-n", type=int, default=None, dest="max_n",
-        help="largest order checked (default: each check's own)",
+        help=f"largest order checked, 1..{SCALE_MAX_N['enumeration']} "
+        "(default: each check's own)",
     )
     p_ver.add_argument("--out", default=None, help="write the JSON report here")
 

@@ -14,41 +14,34 @@ rejects every representative already in its bucket. Buckets live for one
 order only. Results are cached per order and listed in generation order,
 so repeated sweeps are cheap and deterministic.
 
-Each representative of order n >= 2 keeps a link to the representative it
-was grown from, its parent: :func:`parent_indices` gives the parent's
-index in the order-(n-1) list. The new vertex is always n-1 and the old
-adjacencies are copied unchanged, so a representative's induced subgraph
-on vertices 0..n-2 is its parent, with the same labels. Facts inherited
-by induced subgraphs can therefore be read off the parent.
+The new vertex is always n-1 and the old adjacencies are copied
+unchanged, so the representative of order n-1 that a representative was
+grown from, its parent, is its induced subgraph on vertices 0..n-2, with
+the same labels. Facts inherited by induced subgraphs can therefore be
+read off the parent.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _match, is_isomorphic, iter_bits, vertex_invariants
-
-ENUMERATION_MAX_N = 8
-LABELED_COUNT_MAX_N = 5
+from .graphs import Graph, _match, check_order, is_isomorphic, iter_bits, vertex_invariants
 
 _cache: dict[int, list[Graph]] = {}
-_parents: dict[int, list[int]] = {}
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
     """All isomorphism classes of simple graphs on n vertices, one
-    representative each, in generation order. Supports 1 <= n <= 8."""
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"order {n} outside supported range 1..{ENUMERATION_MAX_N}")
+    representative each, in generation order."""
+    check_order("enumeration", n, lo=1)
     cached = _cache.get(n)
     if cached is not None:
         return cached
-    parents: list[int] = []
     if n == 1:
         reps = [Graph(1)]
     else:
         reps = []
         buckets: dict[tuple, list[tuple[Graph, list]]] = {}
         new_bit = 1 << (n - 1)
-        for index, g in enumerate(enumerate_graphs(n - 1)):
+        for g in enumerate_graphs(n - 1):
             base, deg = g.adj, g.degrees
             for pattern in range(1 << (n - 1)):
                 k = pattern.bit_count()
@@ -68,26 +61,15 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 if not any(_match(h, inv, r, r_inv) for r, r_inv in bucket):
                     bucket.append((h, inv))
                     reps.append(h)
-                    parents.append(index)
     _cache[n] = reps
-    _parents[n] = parents
     return reps
-
-
-def parent_indices(n: int) -> list[int]:
-    """For each representative of order n, in enumeration order, the index
-    in enumerate_graphs(n - 1) of the parent it was grown from; empty for
-    n = 1. Supports 1 <= n <= 8."""
-    enumerate_graphs(n)
-    return _parents[n]
 
 
 def isomorphism_class_count_labeled(n: int) -> int:
     """Independent count oracle: enumerate all 2^C(n,2) labeled graphs and
     deduplicate by isomorphism tests within degree-sequence buckets (no
-    augmentation). Exponential, hence the bound LABELED_COUNT_MAX_N."""
-    if not 0 <= n <= LABELED_COUNT_MAX_N:
-        raise ValueError(f"order {n} outside oracle range 0..{LABELED_COUNT_MAX_N}")
+    augmentation). Exponential, hence its scale bound."""
+    check_order("labeled count", n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     reps_by_degseq: dict[tuple[int, ...], list[Graph]] = {}
     count = 0

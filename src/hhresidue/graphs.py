@@ -10,11 +10,34 @@ One vertex invariant, :func:`vertex_invariants` (degree, triangles through
 the vertex, sorted neighbor degrees), serves both isomorphism and the
 enumeration's buckets. Isomorphism is decided exactly by a backtracking
 search that maps each vertex only to vertices with the same invariant.
+
+Every exact computation in the package is exponential in the order (the
+class scans are a steep polynomial), so each stops at a bound held in the
+one table :data:`SCALE_MAX_N`. The kernels enforce theirs with
+:func:`check_order`; ``analyze`` reports "skipped: scale" beyond its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+
+# Largest supported order of each exact computation.
+SCALE_MAX_N: dict[str, int] = {
+    "alpha": 24,  # independence.independence_number (branch and bound)
+    "subset sweep": 20,  # independence: exhaustive alpha, common-MIS mask
+    "maxine branching": 9,  # independence.maxine_all_branches
+    "definitional": 12,  # recognition.definitional_violation
+    "enumeration": 8,  # enumeration.enumerate_graphs, hence verify --max-n
+    "labeled count": 5,  # enumeration.isomorphism_class_count_labeled
+    "class scans": 20,  # analyze: in_s, witness, threshold, config-free
+}
+
+
+def check_order(what: str, n: int, lo: int = 0) -> None:
+    """Raise ValueError unless lo <= n <= SCALE_MAX_N[what]."""
+    hi = SCALE_MAX_N[what]
+    if not lo <= n <= hi:
+        raise ValueError(f"{what}: order {n} outside supported range {lo}..{hi}")
 
 
 # _BITS[m] is iter_bits(m) for every m < 2**9, built by doubling: the

@@ -24,9 +24,9 @@ stays direct, since it names vertices. A record built without a parent
 (``analyze``, the catalog graphs) computes every fact directly.
 
 Each check is a predicate over the records of every class of order
-1..n_max (any n_max up to ``ENUMERATION_MAX_N``) and reports violations as
-graph6 strings with messages, so a failure is reproducible from the report
-alone. The facts checked:
+1..n_max (any n_max within the enumeration's scale bound) and reports
+violations as graph6 strings with messages, so a failure is reproducible
+from the report alone. The facts checked:
 
 - the definitional strong Havel-Hakimi oracle agrees with the
   forbidden-subgraph scan ("forb-equivalence");
@@ -50,9 +50,9 @@ from typing import Any, Callable
 
 from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
-from .enumeration import ENUMERATION_MAX_N, enumerate_graphs, parent_indices
+from .enumeration import enumerate_graphs
 from .graph6 import emit_graph6
-from .graphs import Graph, is_isomorphic, iter_bits
+from .graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
 from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
     ForbiddenWitness,
@@ -134,12 +134,15 @@ def records_up_to(n_max: int) -> list[GraphRecord]:
     """Records of every class of order 1..n_max, smaller orders first, in
     enumeration order, each linked to its enumeration parent's record;
     built once per order."""
-    if not 1 <= n_max <= ENUMERATION_MAX_N:
-        raise ValueError(f"n_max {n_max} outside supported range 1..{ENUMERATION_MAX_N}")
+    enumerate_graphs(n_max)  # checks n_max and fills the cache
     for n in range(1, n_max + 1):
         if n not in _records:
-            parents = [_records[n - 1][i] for i in parent_indices(n)] if n > 1 else [None]
-            _records[n] = [GraphRecord(g, p) for g, p in zip(enumerate_graphs(n), parents)]
+            # a parent missing from the dict is a broken invariant: KeyError
+            parent_of = {rec.graph: rec for rec in _records.get(n - 1, ())}
+            _records[n] = [
+                GraphRecord(g, parent_of[induced_subgraph(g, range(n - 1))] if n > 1 else None)
+                for g in enumerate_graphs(n)
+            ]
     return [rec for n in range(1, n_max + 1) for rec in _records[n]]
 
 

@@ -15,19 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits
-
-ALPHA_MAX_N = 24
-BITMASK_MAX_N = 20
-BRANCH_MAX_N = 9
+from .graphs import Graph, check_order, iter_bits
 
 
 def independence_number(g: Graph) -> int:
     """Exact independence number by branch and bound: branch on a vertex of
     maximum degree (include or exclude), prune with a greedy clique-cover
     upper bound."""
-    if g.n > ALPHA_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds branch-and-bound bound {ALPHA_MAX_N}")
+    check_order("alpha", g.n)
     n, adj = g.n, g.adj
     best = 0
 
@@ -90,8 +85,7 @@ def _subset_sweep(g: Graph) -> tuple[int, int]:
     by visiting every independent set once, depth first: a set is extended
     by each higher vertex adjacent to none of its members. A maximum set
     has no such vertex left, so only those sets are compared."""
-    if g.n > BITMASK_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds subset-sweep bound {BITMASK_MAX_N}")
+    check_order("subset sweep", g.n)
     adj = g.adj
     best, common = 0, (1 << g.n) - 1
 
@@ -171,8 +165,7 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
     Each residual vertex set determines the rest of any run, so it is
     explored once, memoised as a mask with bit s set for each size s it
     can reach."""
-    if g.n > BRANCH_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds branch-exploration bound {BRANCH_MAX_N}")
+    check_order("maxine branching", g.n)
     adj = g.adj
     memo: dict[int, int] = {}
 

@@ -30,9 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .catalog import FORBIDDEN_SUBGRAPHS, complete, cycle, disjoint_union, path
-from .graphs import Graph, iter_bits
-
-DEFINITIONAL_MAX_N = 12
+from .graphs import Graph, check_order, iter_bits
 
 
 def has_hh_property(g: Graph, v: int) -> bool:
@@ -65,8 +63,7 @@ def definitional_violation(g: Graph, *, _start: int = 1) -> int | None:
     only when every smaller mask is known to pass (harness.GraphRecord,
     whose parent is g's induced subgraph on the vertices below the top
     bit of _start)."""
-    if g.n > DEFINITIONAL_MAX_N:
-        raise ValueError(f"graph order {g.n} exceeds definitional-oracle bound {DEFINITIONAL_MAX_N}")
+    check_order("definitional", g.n)
     n, adj = g.n, g.adj
     for mask in range(_start, 1 << n):
         verts = iter_bits(mask)

@@ -12,6 +12,7 @@ import pytest
 from hhresidue.catalog import cycle, path
 from hhresidue.cli import CSV_COLUMNS, main
 from hhresidue.graph6 import emit_graph6
+from hhresidue.graphs import SCALE_MAX_N
 
 P5_G6 = emit_graph6(path(5))
 C5_G6 = emit_graph6(cycle(5))
@@ -155,7 +156,7 @@ def test_analyze_skips_out_of_scale_fields(tmp_path, capsys):
 
 
 def test_analyze_skips_the_witness_beyond_the_class_scan_bound(tmp_path, capsys):
-    src = write_lines(tmp_path, [emit_graph6(path(21))])  # beyond CLASS_SCAN_MAX_N
+    src = write_lines(tmp_path, [emit_graph6(path(21))])  # beyond the class-scan bound
     code, out, _ = run(capsys, "analyze", "--input", src)
     assert code == 0
     rec = json.loads(out.splitlines()[0])
@@ -164,6 +165,33 @@ def test_analyze_skips_the_witness_beyond_the_class_scan_bound(tmp_path, capsys)
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["in_s"] == row["witness"] == "skipped: scale"
+
+
+# the analyze columns each scale-table entry bounds
+BOUNDED_COLUMNS = {
+    "alpha": ["alpha"],
+    "maxine branching": ["maxine_min", "maxine_max"],
+    "class scans": ["in_s", "matrogenic_config_free", "threshold", "witness"],
+}
+
+
+@pytest.mark.parametrize("what", BOUNDED_COLUMNS)
+def test_analyze_computes_up_to_each_bound_and_skips_past_it(tmp_path, capsys, what):
+    """A path of the table's order gets computed values; one vertex more,
+    "skipped: scale", in JSON and in CSV."""
+    bound, fields = SCALE_MAX_N[what], BOUNDED_COLUMNS[what]
+    src = write_lines(tmp_path, [emit_graph6(path(bound)), emit_graph6(path(bound + 1))])
+    code, out, _ = run(capsys, "analyze", "--input", src)
+    assert code == 0
+    at, past = map(json.loads, out.splitlines())
+    code, out, _ = run(capsys, "analyze", "--input", src, "--format", "csv")
+    assert code == 0
+    at_csv, past_csv = csv.DictReader(io.StringIO(out))
+    for field in fields:
+        assert at[field] != "skipped: scale" != at_csv[field], field
+        assert past[field] == past_csv[field] == "skipped: scale", field
+    if what == "alpha":
+        assert at["alpha"] == (bound + 1) // 2
 
 
 def test_analyze_output_deterministic(tmp_path, capsys):
@@ -311,7 +339,7 @@ def test_verify_out_of_range_n_exits_2(capsys, theorem, n):
     code, out, err = run(capsys, "verify", theorem, "--max-n", n)
     assert code == 2
     assert out == ""
-    assert f"n_max {n} outside supported range 1..8" in err
+    assert f"order {n} outside supported range 1..8" in err
 
 
 def run_module(module, *argv, **env):

@@ -69,15 +69,6 @@ def test_new_vertex_has_least_invariant():
             assert inv[-1] == min(inv), g
 
 
-def test_order_bounds():
-    with pytest.raises(ValueError):
-        enumerate_graphs(0)
-    with pytest.raises(ValueError):
-        enumerate_graphs(9)
-    with pytest.raises(ValueError):
-        isomorphism_class_count_labeled(6)
-
-
 def test_each_candidate_invariant_is_computed_once(monkeypatch):
     """Building orders 2..6 from a cold cache computes vertex_invariants
     once per candidate: once per parent and neighbourhood that leaves the
@@ -86,7 +77,6 @@ def test_each_candidate_invariant_is_computed_once(monkeypatch):
     from hhresidue import enumeration
 
     monkeypatch.setattr(enumeration, "_cache", {})
-    monkeypatch.setattr(enumeration, "_parents", {})
     seen = []
 
     def counting(g):

@@ -1,6 +1,7 @@
 """Graph construction, operations, and isomorphism."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,9 @@ from hhresidue.catalog import (
     k23_plus,
     path,
 )
+from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
 from hhresidue.graphs import (
+    SCALE_MAX_N,
     Graph,
     complement,
     disjoint_union,
@@ -22,6 +25,13 @@ from hhresidue.graphs import (
     iter_bits,
     vertex_invariants,
 )
+from hhresidue.independence import (
+    common_mis_mask,
+    independence_number,
+    independence_number_bitmask,
+    maxine_all_branches,
+)
+from hhresidue.recognition import is_strong_havel_hakimi_definitional
 
 from strategies import graphs, graphs_with_permutation, relabel
 
@@ -232,3 +242,42 @@ def test_vertex_invariants_follow_relabelings(gp):
     g, perm = gp
     moved = vertex_invariants(relabel(g, perm))
     assert all(moved[perm[v]] == inv for v, inv in enumerate(vertex_invariants(g)))
+
+
+# --- scale bounds -----------------------------------------------------------
+
+# (table entry, kernel called with an order, lower end of the range or None
+# when the kernel takes a graph, which has no order below 0)
+SCALE_CASES = [
+    pytest.param("alpha", lambda n: independence_number(complete(n)), None, id="alpha"),
+    pytest.param(
+        "subset sweep", lambda n: independence_number_bitmask(complete(n)), None,
+        id="subset-sweep-alpha",
+    ),
+    pytest.param("subset sweep", lambda n: common_mis_mask(complete(n)), None, id="subset-sweep-mis"),
+    pytest.param("maxine branching", lambda n: maxine_all_branches(complete(n)), None, id="maxine"),
+    pytest.param(
+        "definitional", lambda n: is_strong_havel_hakimi_definitional(complete(n)), None,
+        id="definitional",
+    ),
+    pytest.param("enumeration", enumerate_graphs, 1, id="enumeration"),
+    pytest.param("labeled count", isomorphism_class_count_labeled, 0, id="labeled-count"),
+]
+
+
+@pytest.mark.parametrize("what, kernel, lo", SCALE_CASES)
+def test_scale_bound(what, kernel, lo):
+    """Each kernel accepts the order its table entry allows and raises the
+    one message format just outside its range."""
+    hi = SCALE_MAX_N[what]
+    kernel(hi)
+    for n in (hi + 1,) if lo is None else (lo - 1, hi + 1):
+        message = f"{what}: order {n} outside supported range {lo or 0}..{hi}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kernel(n)
+
+
+def test_scale_cases_cover_the_kernel_bounds():
+    # "class scans" bounds only analyze's columns (tests/test_cli.py)
+    covered = {case.values[0] for case in SCALE_CASES}
+    assert covered == set(SCALE_MAX_N) - {"class scans"}

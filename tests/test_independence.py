@@ -91,13 +91,6 @@ def test_alpha_matches_networkx_clique_of_complement():
             assert independence_number(g) == nx_alpha(g), g
 
 
-def test_alpha_scale_bounds():
-    with pytest.raises(ValueError):
-        independence_number(Graph(25))
-    with pytest.raises(ValueError):
-        independence_number_bitmask(Graph(21))
-
-
 # --- vertices common to every maximum independent set ----------------------
 
 
@@ -106,11 +99,6 @@ def test_common_mis_examples():
     assert common_mis_mask(path(5)) == 0b10101
     assert common_mis_mask(complete(3)) == 0
     assert common_mis_mask(Graph(3)) == 0b111
-
-
-def test_common_mis_scale_bound():
-    with pytest.raises(ValueError):
-        common_mis_mask(Graph(21))
 
 
 def test_common_mis_matches_networkx_on_classes_up_to_7():
@@ -206,11 +194,6 @@ def test_branches_complete():
 
 def test_branches_c5():
     assert maxine_all_branches(cycle(5)) == (2,)
-
-
-def test_branches_scale_bound():
-    with pytest.raises(ValueError):
-        maxine_all_branches(Graph(10))
 
 
 def test_branches_match_reference_on_every_class():

@@ -199,11 +199,6 @@ def test_small_graphs_all_in_class():
         assert strong_hh_witness(g) is None
 
 
-def test_definitional_scale_bound():
-    with pytest.raises(ValueError):
-        is_strong_havel_hakimi_definitional(Graph(13))
-
-
 def minimal_forbidden_by_deletion(g):
     """Oracle: outside the class by the definitional recognizer, with every
     one-vertex deletion inside."""
