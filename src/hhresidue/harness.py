@@ -11,17 +11,16 @@ several checks computes each fact once per isomorphism class.
 
 The records of enumerated classes are linked to the record of their
 enumeration parent, which is their induced subgraph on vertices 0..n-2
-with the same labels (see :mod:`hhresidue.enumeration`). The three facts
-inherited by induced subgraphs are read from it: a failing parent makes
-the child fail threshold and configuration-freeness, and the child's first
-definitional violation is the parent's, since the parent's masks are
-exactly the child's masks below 2^(n-1). Only a child of an in-class
-parent sweeps, and only the masks that contain vertex n-1. So
+with the same labels (see :mod:`hhresidue.enumeration`). Only the first
+definitional violation, the one fact that costs a 2^n sweep, is read from
+it: the parent's masks are exactly the child's masks below 2^(n-1), so a
+failing parent's first violation is the child's, and only a child of an
+in-class parent sweeps, over the masks that contain vertex n-1. So
 "forb-equivalence" is not weakened: its definitional side is still the
 full definitional sweep, each mask checked once and shared along the
-parent chain, and it never consults the forbidden list. The witness scan
-stays direct, since it names vertices. A record built without a parent
-(``analyze``, the catalog graphs) computes every fact directly.
+parent chain, and it never consults the forbidden list. Every other fact,
+the witness scan included, is computed directly, and so is every fact of
+a record built without a parent (``analyze``, the catalog graphs).
 
 Each check is a predicate over the records of every class of order
 1..n_max (any n_max within the enumeration's scale bound) and reports
@@ -105,13 +104,11 @@ class GraphRecord:
 
     @cached_property
     def threshold(self) -> bool:
-        parent = self.parent
-        return (parent is None or parent.threshold) and is_threshold(self.graph)
+        return is_threshold(self.graph)
 
     @cached_property
     def config_free(self) -> bool:
-        parent = self.parent
-        return (parent is None or parent.config_free) and is_matrogenic_config_free(self.graph)
+        return is_matrogenic_config_free(self.graph)
 
     @cached_property
     def mis(self) -> int:
@@ -261,40 +258,25 @@ def _r_equals_alpha(rec: GraphRecord) -> list[str]:
     return messages
 
 
-def in_induced_c4(g: Graph, v: int) -> bool:
-    """True iff v lies on an induced 4-cycle: two non-adjacent neighbors of
-    v with a common neighbor that is not adjacent to v."""
+def on_c4_or_p5_center(g: Graph, v: int) -> bool:
+    """True iff v lies on an induced 4-cycle or is the center of an
+    induced 5-path a-w-v-x-b. For each pair of non-adjacent neighbors w, x
+    of v, let A and B be the neighbors of w and of x outside N[v]: a vertex
+    in both closes an induced C4 through v, and when A and B are disjoint,
+    a in A and b in B that are not adjacent end an induced P5 centered at
+    v."""
     adj = g.adj
+    outside = ~(adj[v] | 1 << v)
     nbrs = iter_bits(adj[v])
     for i, w in enumerate(nbrs):
         for x in nbrs[i + 1 :]:
             if adj[w] >> x & 1:
                 continue
-            if adj[w] & adj[x] & ~adj[v] & ~(1 << v):
+            a_set, b_set = adj[w] & outside, adj[x] & outside
+            if a_set & b_set:
                 return True
-    return False
-
-
-def is_induced_p5_center(g: Graph, v: int) -> bool:
-    """True iff v is the middle vertex of an induced 5-path a-w-v-x-b."""
-    adj = g.adj
-    nbrs = iter_bits(adj[v])
-    for w in nbrs:
-        for x in nbrs:
-            if w == x or adj[w] >> x & 1:
-                continue
-            a_pool = adj[w] & ~adj[v] & ~adj[x] & ~(1 << v) & ~(1 << x)
-            for a in iter_bits(a_pool):
-                b_pool = (
-                    adj[x]
-                    & ~adj[v]
-                    & ~adj[w]
-                    & ~adj[a]
-                    & ~(1 << v)
-                    & ~(1 << w)
-                    & ~(1 << a)
-                )
-                if b_pool:
+            for a in iter_bits(a_set):
+                if b_set & ~adj[a]:
                     return True
     return False
 
@@ -311,7 +293,7 @@ def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
         f"vertex {v} is in every maximum independent set but on no "
         f"induced C4 and not a P5 center"
         for v in iter_bits(rec.mis)
-        if g.degrees[v] == dmax and not (in_induced_c4(g, v) or is_induced_p5_center(g, v))
+        if g.degrees[v] == dmax and not on_c4_or_p5_center(g, v)
     ]
 
 

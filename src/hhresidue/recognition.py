@@ -10,11 +10,11 @@ violating subset, and a scan for the nine minimal forbidden induced
 subgraphs. Per subset, the sweep sorts the vertices into one bitmask per
 induced degree; a maximum-degree vertex fails when one of its
 non-neighbors lies in a level above the lowest level that meets its
-neighborhood. The module also tests the five-vertex configuration whose
-absence characterizes matrogenic graphs, and threshold graphs via their
-{2K2, C4, P4}-free characterization.
+neighborhood. The module also gives two plain boolean tests: the absence
+of the five-vertex configuration that characterizes matrogenic graphs,
+and threshold recognition by peeling isolated and dominating vertices.
 
-Every induced-subgraph scan goes through one helper, _first_induced. On
+The forbidden-subgraph scan goes through one helper, _first_induced. On
 first use for a tuple of targets it builds a table of every labelled copy
 of every target, each coded with one bit per position pair, together with
 the set of codes of each copy's first m positions. The scan grows vertex
@@ -29,7 +29,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .catalog import FORBIDDEN_SUBGRAPHS, complete, cycle, disjoint_union, path
+from .catalog import FORBIDDEN_SUBGRAPHS
 from .graphs import Graph, check_order, iter_bits
 
 
@@ -205,22 +205,11 @@ def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
     return None if hit is None else ForbiddenWitness(_FORB_NAMES[hit[0]], hit[1])
 
 
-@dataclass(frozen=True)
-class ConfigWitness:
-    """Five distinct vertices with edges vw, ux, uy and non-edges uv, wx,
-    wy (the remaining four pairs are unconstrained)."""
-
-    v: int
-    w: int
-    u: int
-    x: int
-    y: int
-
-
-def find_matrogenic_config(g: Graph) -> ConfigWitness | None:
-    """First occurrence (ascending u, v, w, then lowest pair x < y) of the
-    five-vertex configuration above, or None. Graphs avoiding it are
-    exactly the matrogenic graphs."""
+def is_matrogenic_config_free(g: Graph) -> bool:
+    """True iff g has no five distinct vertices v, w, u, x, y with edges
+    vw, ux, uy and non-edges uv, wx, wy (the remaining four pairs are
+    unconstrained). Graphs avoiding this configuration are exactly the
+    matrogenic graphs."""
     n, adj = g.n, g.adj
     for u in range(n):
         au = adj[u]
@@ -229,24 +218,26 @@ def find_matrogenic_config(g: Graph) -> ConfigWitness | None:
         for v in range(n):
             if v == u or au >> v & 1:
                 continue
+            # w != u and x, y != v, since u and v are not adjacent
             for w in iter_bits(adj[v]):
-                if w == u:
-                    continue
-                pool = au & ~adj[w] & ~(1 << v) & ~(1 << w)
-                if pool.bit_count() >= 2:
-                    bits = iter_bits(pool)
-                    return ConfigWitness(v, w, u, bits[0], bits[1])
-    return None
-
-
-def is_matrogenic_config_free(g: Graph) -> bool:
-    return find_matrogenic_config(g) is None
-
-
-_THRESHOLD_TARGETS = (disjoint_union(complete(2), complete(2)), cycle(4), path(4))  # 2K2, C4, P4
+                if (au & ~adj[w] & ~(1 << w)).bit_count() >= 2:
+                    return False
+    return True
 
 
 def is_threshold(g: Graph) -> bool:
-    """True iff g has no induced 2K2, C4, or P4 (one pass over the
-    4-subsets)."""
-    return _first_induced(g, _THRESHOLD_TARGETS) is None
+    """True iff g empties by repeatedly deleting an isolated or a
+    dominating vertex (Chvatal and Hammer, 1977). Either deletion keeps
+    the answer, since threshold graphs are closed under induced subgraphs
+    and under adding such a vertex."""
+    adj, left = g.adj, (1 << g.n) - 1
+    while left:
+        full = left.bit_count() - 1  # degree of a dominating vertex among those left
+        for v in iter_bits(left):
+            d = (adj[v] & left).bit_count()
+            if d == 0 or d == full:
+                left ^= 1 << v
+                break
+        else:
+            return False
+    return True

@@ -1,28 +1,24 @@
 """Theorem-check harness at small orders (the full-scale runs live in the
 acceptance suite)."""
 
+import itertools
 import json
 
 from hypothesis import given
 
 from hhresidue import harness
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, cycle, pan4, path
-from hhresidue.graphs import induced_subgraph, is_isomorphic
+from hhresidue.graphs import induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.harness import (
     THEOREM_CHECKS,
     GraphRecord,
-    in_induced_c4,
-    is_induced_p5_center,
+    on_c4_or_p5_center,
     records_up_to,
     verify,
 )
-from hhresidue.recognition import (
-    definitional_violation,
-    is_matrogenic_config_free,
-    is_threshold,
-)
+from hhresidue.recognition import definitional_violation
 
-from strategies import graphs
+from strategies import graphs, graphs_up_to
 
 
 def test_minimal_forbidden_up_to_5():
@@ -79,13 +75,10 @@ def test_records_link_to_their_induced_parent():
 
 
 def test_inherited_facts_equal_direct():
-    """Every class of order <= 7: the parent-linked violation, threshold
-    and config_free equal the direct computations on the bare graph."""
+    """Every class of order <= 7: the parent-linked violation equals the
+    direct computation on the bare graph."""
     for rec in records_up_to(7):
-        g = rec.graph
-        assert rec.violation == definitional_violation(g), rec.graph6
-        assert rec.threshold == is_threshold(g), rec.graph6
-        assert rec.config_free == is_matrogenic_config_free(g), rec.graph6
+        assert rec.violation == definitional_violation(rec.graph), rec.graph6
 
 
 @given(graphs(min_n=2, max_n=8))
@@ -93,8 +86,6 @@ def test_parent_linked_record_equals_parentless(g):
     parent = GraphRecord(induced_subgraph(g, range(g.n - 1)))
     linked, direct = GraphRecord(g, parent), GraphRecord(g)
     assert linked.violation == direct.violation
-    assert linked.threshold == direct.threshold
-    assert linked.config_free == direct.config_free
 
 
 def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
@@ -158,17 +149,41 @@ def test_report_dict_schema():
     }
 
 
-def test_c4_membership_helper():
-    c4 = cycle(4)
-    assert all(in_induced_c4(c4, v) for v in range(4))
-    assert not in_induced_c4(path(4), 1)
-    pan = pan4()  # vertices 0..3 on the cycle, 4 pendant
-    assert in_induced_c4(pan, 0)
-    assert not in_induced_c4(pan, 4)
+def c4_or_p5_center_by_subsets(g, v):
+    """Brute force: some 4-subset through v induces a 4-cycle, or some
+    5-subset through v induces a 5-path with v at its center, the one
+    vertex of P5 whose neighbors both have degree 2 (in C4 every vertex
+    has degree 2). A subset is built and tested for isomorphism only when
+    it has the shapes' four edges and v and its neighbors in it have
+    degree 2."""
+    adj = g.adj
+    others = [u for u in range(g.n) if u != v]
+    for k, shape in ((3, cycle(4)), (4, path(5))):
+        for rest in itertools.combinations(others, k):
+            verts = (v, *rest)
+            mask = sum(1 << u for u in verts)
+            deg = {u: (adj[u] & mask).bit_count() for u in verts}
+            if (
+                sum(deg.values()) == 8
+                and all(deg[u] == 2 for u in (v, *iter_bits(adj[v] & mask)))
+                and is_isomorphic(induced_subgraph(g, verts), shape)
+            ):
+                return True
+    return False
 
 
-def test_p5_center_helper():
-    p5 = path(5)
-    assert is_induced_p5_center(p5, 2)
-    assert not any(is_induced_p5_center(p5, v) for v in (0, 1, 3, 4))
-    assert not is_induced_p5_center(cycle(5), 0)
+def test_c4_or_p5_center_matches_subsets():
+    """Hand examples with the vertices that answer True, then every vertex
+    of every class of order <= 7 against the brute force."""
+    examples = [
+        (cycle(4), {0, 1, 2, 3}),
+        (path(4), set()),
+        (pan4(), {0, 1, 2, 3}),  # vertices 0..3 on the cycle, 4 pendant
+        (path(5), {2}),
+        (cycle(5), set()),
+    ]
+    for g, expected in examples:
+        assert {v for v in range(g.n) if on_c4_or_p5_center(g, v)} == expected
+    for g in itertools.chain((g for g, _ in examples), graphs_up_to(7)):
+        for v in range(g.n):
+            assert on_c4_or_p5_center(g, v) == c4_or_p5_center_by_subsets(g, v), (g.edges(), v)

@@ -19,7 +19,6 @@ from hhresidue.graphs import Graph, disjoint_union, induced_subgraph, is_isomorp
 from hhresidue.recognition import (
     _first_induced,
     definitional_violation,
-    find_matrogenic_config,
     has_hh_property,
     is_matrogenic_config_free,
     is_strong_havel_hakimi_definitional,
@@ -34,16 +33,23 @@ def pendant_on_c5():
     return Graph(6, cycle(5).edges() + [(0, 5)])
 
 
-def config_holds(g, w):
-    """Check a configuration witness directly against its definition."""
-    need_edges = [(w.v, w.w), (w.u, w.x), (w.u, w.y)]
-    need_non = [(w.u, w.v), (w.w, w.x), (w.w, w.y)]
-    distinct = len({w.v, w.w, w.u, w.x, w.y}) == 5
+def config_holds(g, five):
+    """Check a tuple (v, w, u, x, y) directly against the definition of the
+    matrogenic configuration."""
+    v, w, u, x, y = five
+    need_edges = [(v, w), (u, x), (u, y)]
+    need_non = [(u, v), (w, x), (w, y)]
+    distinct = len({v, w, u, x, y}) == 5
     return (
         distinct
         and all(g.adj[a] >> b & 1 for a, b in need_edges)
         and not any(g.adj[a] >> b & 1 for a, b in need_non)
     )
+
+
+def config_free_by_definition(g):
+    """Brute force: no ordered 5-tuple of vertices is the configuration."""
+    return not any(config_holds(g, five) for five in itertools.permutations(range(g.n), 5))
 
 
 # --- Havel-Hakimi property of a vertex --------------------------------------
@@ -303,24 +309,23 @@ def test_complete_graphs_config_free():
 
 def test_p5_contains_config():
     p5 = path(5)
-    w = find_matrogenic_config(p5)
-    assert w is not None
-    assert config_holds(p5, w)
-    # the tuple (v,w,u,x,y) = (1,0,3,2,4) satisfies the definition too
-    from hhresidue.recognition import ConfigWitness
-
-    assert config_holds(p5, ConfigWitness(1, 0, 3, 2, 4))
+    assert not is_matrogenic_config_free(p5)
+    # (v, w, u, x, y) = (1, 0, 3, 2, 4) is one occurrence
+    assert config_holds(p5, (1, 0, 3, 2, 4))
 
 
 def test_c5_config_free():
     assert is_matrogenic_config_free(cycle(5))
 
 
-@given(graphs(max_n=7))
-def test_config_witnesses_are_valid(g):
-    w = find_matrogenic_config(g)
-    if w is not None:
-        assert config_holds(g, w)
+def test_config_free_matches_definition_up_to_6():
+    for g in graphs_up_to(6):
+        assert is_matrogenic_config_free(g) == config_free_by_definition(g), g
+
+
+@given(graphs(max_n=8))
+def test_config_free_matches_definition(g):
+    assert is_matrogenic_config_free(g) == config_free_by_definition(g)
 
 
 # --- threshold ---------------------------------------------------------------
@@ -333,16 +338,38 @@ def test_threshold_examples():
     assert not is_threshold(disjoint_union(complete(2), complete(2)))
 
 
-def test_threshold_matches_networkx_up_to_7():
-    """A route that shares no code with the scan: networkx's threshold
-    test, on every class of order <= 7."""
+def networkx_is_threshold(g):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.threshold import is_threshold_graph
 
+    ng = nx.Graph(g.edges())
+    ng.add_nodes_from(range(g.n))
+    return is_threshold_graph(ng)
+
+
+def test_threshold_matches_networkx_up_to_7():
+    """A route that shares no code with the peeling: networkx's threshold
+    test, on every class of order <= 7."""
     for g in graphs_up_to(7):
-        ng = nx.Graph(g.edges())
-        ng.add_nodes_from(range(g.n))
-        assert is_threshold(g) == is_threshold_graph(ng), g
+        assert is_threshold(g) == networkx_is_threshold(g), g
+
+
+def test_threshold_matches_networkx_at_analyze_orders():
+    """Orders 10..20, where analyze runs the test: relabelled alternating
+    threshold graphs, each also with one vertex pair flipped, and seeded
+    G(n, p) graphs."""
+    rng = random.Random(1977)
+    for n in range(10, 21):
+        g = alternating_threshold_graph(n, rng)
+        u, v = rng.sample(range(n), 2)
+        flipped = Graph(n, sorted(set(g.edges()) ^ {(min(u, v), max(u, v))}))
+        samples = [g, flipped]
+        for _ in range(3):
+            p = rng.random()
+            samples.append(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+        for h in samples:
+            assert is_threshold(h) == networkx_is_threshold(h), h.edges()
+        assert is_threshold(g)
 
 
 def test_class_chain_up_to_5():
