@@ -172,18 +172,27 @@ def c4_or_p5_center_by_subsets(g, v):
     return False
 
 
-def test_c4_or_p5_center_matches_subsets():
-    """Hand examples with the vertices that answer True, then every vertex
-    of every class of order <= 7 against the brute force."""
+def test_c4_membership_helper():
+    """Every vertex of C4 lies on an induced C4 and none of P4 does; the
+    pan's pendant lies on none (and, of degree 1, is no P5 center)."""
     examples = [
         (cycle(4), {0, 1, 2, 3}),
         (path(4), set()),
         (pan4(), {0, 1, 2, 3}),  # vertices 0..3 on the cycle, 4 pendant
-        (path(5), {2}),
-        (cycle(5), set()),
     ]
     for g, expected in examples:
         assert {v for v in range(g.n) if on_c4_or_p5_center(g, v)} == expected
-    for g in itertools.chain((g for g, _ in examples), graphs_up_to(7)):
+
+
+def test_p5_center_helper():
+    """Only the middle vertex of P5 is a P5 center; C5 has no induced C4
+    or P5."""
+    assert {v for v in range(5) if on_c4_or_p5_center(path(5), v)} == {2}
+    assert not any(on_c4_or_p5_center(cycle(5), v) for v in range(5))
+
+
+def test_c4_or_p5_center_matches_subsets():
+    """Every vertex of every class of order <= 7 against the brute force."""
+    for g in graphs_up_to(7):
         for v in range(g.n):
             assert on_c4_or_p5_center(g, v) == c4_or_p5_center_by_subsets(g, v), (g.edges(), v)
