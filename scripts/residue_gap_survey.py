@@ -18,7 +18,7 @@ from itertools import groupby
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hhresidue.graphs import SCALE_MAX_N  # noqa: E402
+from hhresidue.graphs import check_order  # noqa: E402
 from hhresidue.harness import records_up_to  # noqa: E402
 
 
@@ -28,8 +28,10 @@ def main() -> int:
     parser.add_argument("--examples", type=int, default=3,
                         help="out-of-class equality examples to print per order")
     args = parser.parse_args()
-    if not 1 <= args.max_n <= SCALE_MAX_N["enumeration"]:
-        parser.error(f"--max-n must be in 1..{SCALE_MAX_N['enumeration']}")
+    try:
+        check_order("enumeration", args.max_n, lo=1)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.examples < 0:
         parser.error("--examples must be nonnegative")
 

@@ -14,13 +14,14 @@ neighborhood. The module also gives two plain boolean tests: the absence
 of the five-vertex configuration that characterizes matrogenic graphs,
 and threshold recognition by peeling isolated and dominating vertices.
 
-The forbidden-subgraph scan goes through one helper, _first_induced. On
-first use for a tuple of targets it builds a table of every labelled copy
-of every target, each coded with one bit per position pair, together with
-the set of codes of each copy's first m positions. The scan grows vertex
-subsets one vertex at a time in lexicographic order and drops a prefix as
-soon as its code begins no copy, so a subset is never built as a graph and
-no isomorphism test runs.
+The forbidden-subgraph scan reads one table, built once per process on
+first use: every labelled copy of every catalog graph, each coded with
+one bit per position pair and mapped to the graph's catalog name,
+together with the set of codes of each copy's first m positions. The
+scan, _first_copy, grows vertex subsets one vertex at a time in
+lexicographic order and drops a prefix as soon as its code begins no
+copy, so a subset is never built as a graph and no isomorphism test
+runs.
 """
 
 from __future__ import annotations
@@ -122,51 +123,33 @@ def _copy_code(h: Graph, perm: tuple[int, ...]) -> int:
     return code
 
 
-@functools.lru_cache(maxsize=32)
-def _copy_tables(targets: tuple[Graph, ...]) -> tuple:
-    """Per target order k, ascending: (k, prefixes, full). full maps the
-    code of every labelled copy of a k-vertex target to the index of the
-    first target it copies; prefixes[m] (m < k) holds the codes of the
-    copies' first m positions. Built on first use, k! codes per target."""
-    by_order: dict[int, list[int]] = {}
-    for i, h in enumerate(targets):
-        by_order.setdefault(h.n, []).append(i)
-    tables = []
-    for k, members in sorted(by_order.items()):
-        full: dict[int, int] = {}
-        for i in members:
-            for perm in itertools.permutations(range(k)):
-                full.setdefault(_copy_code(targets[i], perm), i)
-        prefixes = [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)]
-        tables.append((k, prefixes, full))
-    return tuple(tables)
+@functools.cache
+def _copy_tables() -> tuple:
+    """Per order k of the catalog, ascending: (k, prefixes, full). full
+    maps the code of every labelled copy of a k-vertex forbidden graph to
+    the catalog name of the first graph it copies; prefixes[m] (m < k)
+    holds the codes of the copies' first m positions. Built on first use,
+    k! codes per graph."""
+    by_order: dict[int, dict[int, str]] = {}
+    for name, h in FORBIDDEN_SUBGRAPHS.items():
+        full = by_order.setdefault(h.n, {})
+        for perm in itertools.permutations(range(h.n)):
+            full.setdefault(_copy_code(h, perm), name)
+    return tuple(
+        (k, [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)], full)
+        for k, full in sorted(by_order.items())
+    )
 
 
-def _first_induced(g: Graph, targets: tuple[Graph, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """First induced copy of a target in g, as (target index, sorted host
-    vertices): subsets by increasing size, lexicographically within a
-    size, target order within a subset.
+def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, str]):
+    """First k-subset of the n vertices, in lexicographic order, that
+    induces a copy in full, as (name, sorted vertices), or None; k >= 1.
 
-    For each target order k, k-subsets grow one vertex at a time in
-    lexicographic order, and the code of the chosen prefix (see
-    _copy_code) grows by the new vertex's row of adjacencies to the
-    vertices before it. A prefix whose code is not in the table's set for
-    its length begins no labelled copy of a target, so it is dropped with
-    every subset extending it; a full code found in the table is a copy of
-    the target it maps to."""
-    n, adj = g.n, g.adj
-    for k, prefixes, full in _copy_tables(targets):
-        if k > n:
-            break
-        hit = _first_copy(adj, n, k, prefixes, full)
-        if hit:
-            return hit
-    return None
-
-
-def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, int]):
-    """The scan of _first_induced for one order k >= 1. rows[v] holds v's
-    adjacencies to the chosen prefix, one bit per position."""
+    Subsets grow one vertex at a time, and the code of the chosen prefix
+    (see _copy_code) grows by the new vertex's row of adjacencies to the
+    vertices before it; rows[v] holds that row, one bit per position. A
+    prefix whose code is not in the set for its length begins no labelled
+    copy, so it is dropped with every subset extending it."""
     chosen: list[int] = []
 
     def extend(m: int, code: int, start: int, rows: list[int]):
@@ -174,9 +157,9 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, i
         stop = n - k + m + 1
         if m == k - 1:
             for v in range(start, stop):
-                i = full.get(code | rows[v] << shift)
-                if i is not None:
-                    return i, (*chosen, v)
+                name = full.get(code | rows[v] << shift)
+                if name is not None:
+                    return name, (*chosen, v)
             return None
         level, bit = prefixes[m + 1], 1 << m
         for v in range(start, stop):
@@ -193,16 +176,17 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, i
     return extend(0, 0, 0, [0] * n)
 
 
-_FORB_NAMES = list(FORBIDDEN_SUBGRAPHS)
-_FORB_TARGETS = tuple(FORBIDDEN_SUBGRAPHS.values())
-
-
 def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
     """Scan for an induced forbidden subgraph: subsets by increasing size
     (5 before 6), lexicographically within a size, catalog order within a
     subset. Returns the first hit, or None when g is in the class."""
-    hit = _first_induced(g, _FORB_TARGETS)
-    return None if hit is None else ForbiddenWitness(_FORB_NAMES[hit[0]], hit[1])
+    for k, prefixes, full in _copy_tables():
+        if k > g.n:
+            break
+        hit = _first_copy(g.adj, g.n, k, prefixes, full)
+        if hit:
+            return ForbiddenWitness(*hit)
+    return None
 
 
 def is_matrogenic_config_free(g: Graph) -> bool:

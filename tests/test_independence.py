@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from hhresidue.catalog import complete, cycle, path
 from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
+from hhresidue.harness import on_c4_or_p5_center
 from hhresidue.independence import (
     common_mis_mask,
     independence_number,
@@ -17,7 +18,6 @@ from hhresidue.independence import (
     maxine_all_branches,
     maxine_run,
 )
-from hhresidue.recognition import _first_induced
 
 from strategies import graphs, graphs_up_to
 
@@ -211,11 +211,13 @@ def test_maxine_optimal_on_c4_p5_free_graphs():
     every Maxine branch reaches the independence number."""
     checked = 0
     for g in graphs_up_to(7):
-        if _first_induced(g, (cycle(4), path(5))) is not None:
+        # g has an induced C4 or P5 iff some vertex lies on an induced C4
+        # or is the center of an induced P5
+        if any(on_c4_or_p5_center(g, v) for v in range(g.n)):
             continue
         checked += 1
         assert maxine_all_branches(g) == (independence_number(g),)
-    assert checked > 100
+    assert checked == 439
 
 
 @given(graphs(max_n=6))

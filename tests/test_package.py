@@ -33,3 +33,26 @@ def test_import_loads_four_submodules():
         "hhresidue.independence",
         "hhresidue.recognition",
     ]
+
+
+def test_copy_table_is_built_on_first_use_once():
+    # building the table at import would add its build time to every CLI start
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = (
+        "import hhresidue\n"
+        "from hhresidue import recognition\n"
+        "from hhresidue.catalog import path\n"
+        "print(recognition._copy_tables.cache_info().currsize)\n"
+        "recognition.strong_hh_witness(path(5))\n"
+        "recognition.strong_hh_witness(path(6))\n"
+        "print(recognition._copy_tables.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]

@@ -12,12 +12,14 @@ from hhresidue.catalog import (
     complete,
     complete_bipartite,
     cycle,
+    k23_plus,
+    p3_plus_k3,
     path,
+    two_p3,
 )
 from hhresidue.degseq import hh_step
 from hhresidue.graphs import Graph, disjoint_union, induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.recognition import (
-    _first_induced,
     definitional_violation,
     has_hh_property,
     is_matrogenic_config_free,
@@ -88,36 +90,45 @@ def test_hh_deletion_mirrors_step(g):
             assert sorted(rest.degree_sequence()) == sorted(hh_step(g.degree_sequence()))
 
 
-# --- induced containment -----------------------------------------------------
+# --- the forbidden-subgraph scan by hand ------------------------------------
 
 
-def test_contains_induced_examples():
-    c5 = cycle(5)
-    hit = _first_induced(c5, (path(4),))
-    assert hit is not None
-    assert is_isomorphic(induced_subgraph(c5, hit[1]), path(4))
-    assert _first_induced(c5, (path(5),)) is None
-    assert _first_induced(c5, (complete(1),)) == (0, (0,))
+def witness_pair(g):
+    w = strong_hh_witness(g)
+    return None if w is None else (w.name, w.vertices)
 
 
-def test_contains_induced_requires_induced_copy():
-    # K4 contains P4 as a subgraph but not as an induced subgraph
-    assert _first_induced(complete(4), (path(4),)) is None
+def test_witness_is_an_induced_copy():
+    """K_{2,3}+ and P3+K3 each contain an earlier catalog graph as a
+    subgraph (K_{2,3}, 2P3) but not as an induced one."""
+    assert set(complete_bipartite(2, 3).edges()) < set(k23_plus().edges())
+    assert witness_pair(k23_plus()) == ("K_{2,3}+", (0, 1, 2, 3, 4))
+    assert set(two_p3().edges()) < set(p3_plus_k3().edges())
+    assert witness_pair(p3_plus_k3()) == ("P3+K3", (0, 1, 2, 3, 4, 5))
 
 
-def test_contains_induced_trivial_and_oversized_targets():
-    assert _first_induced(Graph(2), (complete(1),)) == (0, (0,))
-    assert _first_induced(Graph(0), (complete(1),)) is None
-    assert _first_induced(path(3), (path(5),)) is None
+def test_witness_prefers_smaller_subsets():
+    # 2P3 on 0..5 comes first lexicographically, but a P5 is smaller
+    g = disjoint_union(two_p3(), path(5))
+    assert witness_pair(g) == ("P5", (6, 7, 8, 9, 10))
+
+
+def test_witness_is_the_lexicographically_first_copy():
+    assert witness_pair(disjoint_union(path(5), path(5))) == ("P5", (0, 1, 2, 3, 4))
+
+
+def test_graphs_below_order_5_have_no_witness():
+    assert strong_hh_witness(Graph(0)) is None
+    for g in graphs_up_to(4):
+        assert strong_hh_witness(g) is None
 
 
 # --- the scan against the subset-by-subset route -------------------------------
 
 THRESHOLD_TARGETS = (disjoint_union(complete(2), complete(2)), cycle(4), path(4))
-CONTAINMENT_TARGETS = (*FORBIDDEN_SUBGRAPHS.values(), cycle(4), path(4))
 
 
-def reference_first_induced(g, targets):
+def reference_scan(g, targets):
     """Reference route: subsets by increasing size, lexicographically within
     a size, target order within a subset; sorted degrees filter before an
     isomorphism test of the induced subgraph."""
@@ -132,24 +143,18 @@ def reference_first_induced(g, targets):
 
 
 def reference_witness(g):
-    hit = reference_first_induced(g, tuple(FORBIDDEN_SUBGRAPHS.values()))
+    hit = reference_scan(g, tuple(FORBIDDEN_SUBGRAPHS.values()))
     return None if hit is None else (list(FORBIDDEN_SUBGRAPHS)[hit[0]], hit[1])
-
-
-def witness_pair(g):
-    w = strong_hh_witness(g)
-    return None if w is None else (w.name, w.vertices)
 
 
 def assert_scans_match_reference(g):
     assert witness_pair(g) == reference_witness(g)
-    assert is_threshold(g) == (reference_first_induced(g, THRESHOLD_TARGETS) is None)
+    assert is_threshold(g) == (reference_scan(g, THRESHOLD_TARGETS) is None)
 
 
-@given(graphs(max_n=10), st.sampled_from(CONTAINMENT_TARGETS))
-def test_scans_match_reference_route(g, h):
+@given(graphs(max_n=10))
+def test_scans_match_reference_route(g):
     assert_scans_match_reference(g)
-    assert _first_induced(g, (h,)) == reference_first_induced(g, (h,))
 
 
 def alternating_threshold_graph(n, rng):

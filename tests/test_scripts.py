@@ -36,7 +36,7 @@ def test_residue_gap_survey_rejects_out_of_range_order():
         )
         assert proc.returncode == 2, max_n
         assert proc.stdout == ""
-        assert "--max-n must be in 1..8" in proc.stderr
+        assert f"enumeration: order {max_n} outside supported range 1..8" in proc.stderr
 
 
 def test_residue_gap_survey_rejects_negative_examples():
