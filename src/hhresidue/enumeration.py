@@ -17,8 +17,10 @@ so repeated sweeps are cheap and deterministic.
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
 grown from, its parent, is its induced subgraph on vertices 0..n-2, with
-the same labels. Facts inherited by induced subgraphs can therefore be
-read off the parent.
+the same labels: its prefix. The definitional oracle reuses a prefix's
+kept answer (see :func:`hhresidue.recognition.definitional_violation`),
+so a sweep over the classes order by order finds each parent's answer
+already kept.
 """
 
 from __future__ import annotations

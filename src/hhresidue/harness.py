@@ -9,18 +9,10 @@ maximum independent set. Each is computed on first access and kept.
 Records are cached per order, like the enumeration itself, so a run of
 several checks computes each fact once per isomorphism class.
 
-The records of enumerated classes are linked to the record of their
-enumeration parent, which is their induced subgraph on vertices 0..n-2
-with the same labels (see :mod:`hhresidue.enumeration`). Only the first
-definitional violation, the one fact that costs a 2^n sweep, is read from
-it: the parent's masks are exactly the child's masks below 2^(n-1), so a
-failing parent's first violation is the child's, and only a child of an
-in-class parent sweeps, over the masks that contain vertex n-1. So
-"forb-equivalence" is not weakened: its definitional side is still the
-full definitional sweep, each mask checked once and shared along the
-parent chain, and it never consults the forbidden list. Every other fact,
-the witness scan included, is computed directly, and so is every fact of
-a record built without a parent (``analyze``, the catalog graphs).
+The first definitional violation is the one fact that reuses answers to
+smaller graphs, by the prefix rule of
+:func:`hhresidue.recognition.definitional_violation`; it never consults
+the forbidden list, so "forb-equivalence" compares two independent routes.
 
 Each check is a predicate over the records of every class of order
 1..n_max (any n_max within the enumeration's scale bound) and reports
@@ -51,7 +43,7 @@ from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
 from .enumeration import enumerate_graphs
 from .graph6 import emit_graph6
-from .graphs import Graph, induced_subgraph, is_isomorphic, iter_bits
+from .graphs import Graph, is_isomorphic, iter_bits
 from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
     ForbiddenWitness,
@@ -65,12 +57,10 @@ from .recognition import (
 class GraphRecord:
     """The per-graph facts, each computed on first access and then kept.
     Callers read only the fields within the scale bounds of their
-    inputs. parent, when given, must be the record of graph's induced
-    subgraph on vertices 0..n-2, with the same labels."""
+    inputs."""
 
-    def __init__(self, graph: Graph, parent: GraphRecord | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.parent = parent
 
     @cached_property
     def graph6(self) -> str:
@@ -95,12 +85,7 @@ class GraphRecord:
     @cached_property
     def violation(self) -> int | None:
         """First vertex subset (bitmask) failing the definitional oracle."""
-        parent = self.parent
-        if parent is None:
-            return definitional_violation(self.graph)
-        if parent.violation is not None:
-            return parent.violation
-        return definitional_violation(self.graph, _start=1 << (self.graph.n - 1))
+        return definitional_violation(self.graph)
 
     @cached_property
     def threshold(self) -> bool:
@@ -129,17 +114,11 @@ _records: dict[int, list[GraphRecord]] = {}
 
 def records_up_to(n_max: int) -> list[GraphRecord]:
     """Records of every class of order 1..n_max, smaller orders first, in
-    enumeration order, each linked to its enumeration parent's record;
-    built once per order."""
+    enumeration order; built once per order."""
     enumerate_graphs(n_max)  # checks n_max and fills the cache
     for n in range(1, n_max + 1):
         if n not in _records:
-            # a parent missing from the dict is a broken invariant: KeyError
-            parent_of = {rec.graph: rec for rec in _records.get(n - 1, ())}
-            _records[n] = [
-                GraphRecord(g, parent_of[induced_subgraph(g, range(n - 1))] if n > 1 else None)
-                for g in enumerate_graphs(n)
-            ]
+            _records[n] = [GraphRecord(g) for g in enumerate_graphs(n)]
     return [rec for n in range(1, n_max + 1) for rec in _records[n]]
 
 
@@ -215,13 +194,14 @@ def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
     report = _sweep("minimal-forbidden", n_max, in_catalog)
     violations = list(report.violations)
     for name, fg in FORBIDDEN_SUBGRAPHS.items():
-        g6 = emit_graph6(fg)
+        rec = GraphRecord(fg)
+        g6 = rec.graph6
         if fg.n <= n_max and name not in matched:
             violations.append(Violation(g6, f"catalog graph {name} not found by the sweep"))
-        first = definitional_violation(fg)
+        first = rec.violation
         if first is None:
             violations.append(Violation(g6, f"catalog graph {name} passes the definitional oracle"))
-        elif first != (1 << fg.n) - 1:
+        elif not rec.minimal_forbidden:
             v = next(u for u in range(fg.n) if not first >> u & 1)
             violations.append(
                 Violation(g6, f"catalog graph {name} minus vertex {v} still fails the oracle")

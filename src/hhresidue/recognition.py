@@ -51,7 +51,7 @@ def has_hh_property(g: Graph, v: int) -> bool:
     return min(nbr_degs) >= max(non_degs)
 
 
-def definitional_violation(g: Graph, *, _start: int = 1) -> int | None:
+def definitional_violation(g: Graph) -> int | None:
     """Definitional oracle: the first nonempty vertex subset, as a bitmask
     in increasing numeric order, on which some maximum-degree vertex of the
     induced subgraph lacks the Havel-Hakimi property; None when there is
@@ -60,13 +60,27 @@ def definitional_violation(g: Graph, *, _start: int = 1) -> int | None:
     answer is its full vertex set. Cost 2^n * poly(n), hence the scale
     bound.
 
-    The private _start begins the sweep at that mask; a caller passes it
-    only when every smaller mask is known to pass (harness.GraphRecord,
-    whose parent is g's induced subgraph on the vertices below the top
-    bit of _start)."""
+    The masks below 2^(n-1) are the subsets of g's prefix, its induced
+    subgraph on vertices 0..n-2 with the same labels. So the answer is the
+    prefix's answer when that is not None, and otherwise the first failing
+    mask that contains vertex n-1. Answers are kept per labelled graph for
+    the life of the process, so a graph asked after its prefix sweeps at
+    most the masks through its top vertex."""
     check_order("definitional", g.n)
+    return _first_violation(g)
+
+
+@functools.cache
+def _first_violation(g: Graph) -> int | None:
+    """definitional_violation without the order check, by the prefix rule."""
     n, adj = g.n, g.adj
-    for mask in range(_start, 1 << n):
+    if n == 0:
+        return None
+    low = (1 << (n - 1)) - 1
+    first = _first_violation(Graph._from_adj(n - 1, tuple(a & low for a in adj[:-1])))
+    if first is not None:
+        return first
+    for mask in range(1 << (n - 1), 1 << n):
         verts = iter_bits(mask)
         # levels[d]: the vertices of induced degree d
         levels = [0] * len(verts)

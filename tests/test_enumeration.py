@@ -6,7 +6,7 @@ import pytest
 
 from hhresidue.catalog import complete, cycle, path
 from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
-from hhresidue.graphs import is_isomorphic, vertex_invariants
+from hhresidue.graphs import induced_subgraph, is_isomorphic, vertex_invariants
 
 from strategies import graphs_up_to
 
@@ -58,6 +58,16 @@ def test_deterministic_and_cached():
     b = enumerate_graphs(5)
     assert a is b
     assert a == list(graphs_up_to(5))[-34:]
+
+
+def test_prefix_is_a_representative():
+    """What the definitional memo's hits rest on: each representative of
+    order 2..7, less its last vertex, is a representative of order n-1
+    with the same labels."""
+    for n in range(2, 8):
+        smaller = set(enumerate_graphs(n - 1))
+        for g in enumerate_graphs(n):
+            assert induced_subgraph(g, range(n - 1)) in smaller, g
 
 
 def test_new_vertex_has_least_invariant():

@@ -4,21 +4,18 @@ acceptance suite)."""
 import itertools
 import json
 
-from hypothesis import given
-
-from hhresidue import harness
+from hhresidue import harness, recognition
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, cycle, pan4, path
 from hhresidue.graphs import induced_subgraph, is_isomorphic, iter_bits
 from hhresidue.harness import (
     THEOREM_CHECKS,
-    GraphRecord,
     on_c4_or_p5_center,
     records_up_to,
     verify,
 )
 from hhresidue.recognition import definitional_violation
 
-from strategies import graphs, graphs_up_to
+from strategies import graphs_up_to
 
 
 def test_minimal_forbidden_up_to_5():
@@ -63,63 +60,53 @@ def test_checks_share_one_record_per_class(monkeypatch):
     assert len(scanned) == 208
 
 
-def test_records_link_to_their_induced_parent():
-    """The invariant the inherited facts rest on: a record's parent is its
-    induced subgraph on vertices 0..n-2, with the same labels."""
-    for rec in records_up_to(7):
-        g = rec.graph
-        if g.n == 1:
-            assert rec.parent is None
-        else:
-            assert induced_subgraph(g, range(g.n - 1)) == rec.parent.graph, rec.graph6
-
-
 def test_inherited_facts_equal_direct():
-    """Every class of order <= 7: the parent-linked violation equals the
-    direct computation on the bare graph."""
-    for rec in records_up_to(7):
-        assert rec.violation == definitional_violation(rec.graph), rec.graph6
-
-
-@given(graphs(min_n=2, max_n=8))
-def test_parent_linked_record_equals_parentless(g):
-    parent = GraphRecord(induced_subgraph(g, range(g.n - 1)))
-    linked, direct = GraphRecord(g, parent), GraphRecord(g)
-    assert linked.violation == direct.violation
+    """Every class of order <= 7: the record's violation, read with the
+    answers of smaller graphs kept, equals the answer from a cold memo."""
+    recs = records_up_to(7)
+    violations = [rec.violation for rec in recs]
+    for rec, first in zip(recs, violations):
+        recognition._first_violation.cache_clear()
+        assert definitional_violation(rec.graph) == first, rec.graph6
 
 
 def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
-    """From an empty record cache, all six checks at n <= 6 sweep from mask
-    1 only for the order-1 record and the parentless catalog graphs; every
-    other record of an in-class parent sweeps once from 1 << (n-1), and a
-    record whose parent is outside the class makes no call."""
-    calls = []
-    real = harness.definitional_violation
-
-    def counting(g, **kwargs):
-        calls.append((g, kwargs.get("_start", 1)))
-        return real(g, **kwargs)
-
+    """The definitional memo. From a cold memo and an empty record cache,
+    the six checks at n <= 6 keep 227 answers (the 208 classes, the
+    order-0 graph, and the seven catalog graphs that are not class
+    representatives with eleven of their prefixes) and make 216 hits; a
+    second run adds hits but no miss. With its prefix's answer kept, each
+    class of order 2..6 either sweeps nothing (its prefix fails) or starts
+    its sweep at mask 1 << (n-1)."""
+    memo = recognition._first_violation
+    memo.cache_clear()
     monkeypatch.setattr(harness, "_records", {})
-    monkeypatch.setattr(harness, "definitional_violation", counting)
     for theorem_id in THEOREM_CHECKS:
         assert verify(theorem_id, 6).passed, theorem_id
-    catalog = [start for g, start in calls if any(g is fg for fg in FORBIDDEN_SUBGRAPHS.values())]
-    assert catalog == [1] * len(FORBIDDEN_SUBGRAPHS)
-    records = records_up_to(6)
-    made = 0
-    for rec in records:
-        starts = [start for g, start in calls if g is rec.graph]
-        made += len(starts)
-        n = rec.graph.n
-        if n == 1:
-            assert starts == [1]
-        elif rec.parent.violation is not None:
-            assert starts == [], rec.graph6
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (227, 227, 216)
+    for theorem_id in THEOREM_CHECKS:
+        verify(theorem_id, 6)
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (227, 227, 225)
+
+    memo.cache_clear()
+    swept = []
+    real = recognition.iter_bits
+    monkeypatch.setattr(recognition, "iter_bits", lambda mask: swept.append(mask) or real(mask))
+    no_sweep = from_top = 0
+    for rec in records_up_to(6)[1:]:
+        g = rec.graph
+        prefix_first = definitional_violation(induced_subgraph(g, range(g.n - 1)))
+        swept.clear()
+        assert definitional_violation(g) == rec.violation, rec.graph6
+        if prefix_first is not None:
+            assert swept == [], rec.graph6
+            no_sweep += 1
         else:
-            assert starts == [1 << (n - 1)], rec.graph6
-    assert made + len(catalog) == len(calls)
-    assert made < len(records)
+            assert swept[0] == 1 << (g.n - 1), rec.graph6
+            from_top += 1
+    assert (no_sweep, from_top) == (30, 177)
 
 
 def test_verify_uses_default_order():
