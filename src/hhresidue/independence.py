@@ -2,10 +2,12 @@
 heuristic.
 
 Two exact routes to the independence number cross-check each other: a
-branch-and-bound on a maximum-degree vertex with a greedy clique-cover
-bound, and an exhaustive sweep over every independent set, grown depth
-first one higher vertex at a time, which also gives the vertices common
-to every maximum independent set. Maxine can be run with a fixed
+branch-and-bound with a greedy clique-cover bound, which takes every
+vertex of degree 0 or 1 without branching and branches on a
+maximum-degree vertex only when every vertex left has degree at least 2,
+and an exhaustive sweep over every independent set, grown depth first one
+higher vertex at a time, which also gives the vertices common to every
+maximum independent set. Maxine can be run with a fixed
 tie-breaking strategy or branched over every choice of maximum-degree
 vertex, collecting the full set of achievable independent-set sizes.
 """
@@ -19,8 +21,12 @@ from .graphs import Graph, check_order, iter_bits
 
 
 def independence_number(g: Graph) -> int:
-    """Exact independence number by branch and bound: branch on a vertex of
-    maximum degree (include or exclude), prune with a greedy clique-cover
+    """Exact independence number by branch and bound. A vertex of degree 0
+    or 1 among those left is taken without branching, and its closed
+    neighbourhood removed: some maximum independent set contains it, since
+    swapping its one neighbour for it keeps a set independent and of the
+    same size. When every vertex left has degree at least 2, branch on one
+    of maximum degree (include or exclude), pruned by a greedy clique-cover
     upper bound."""
     check_order("alpha", g.n)
     n, adj = g.n, g.adj
@@ -45,19 +51,30 @@ def independence_number(g: Graph) -> int:
 
     def explore(mask: int, size: int) -> None:
         nonlocal best
-        vbest, dbest = -1, -1
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            dv = (adj[v] & mask).bit_count()
-            if dv > dbest:
-                vbest, dbest = v, dv
-        if dbest <= 0:
-            total = size + mask.bit_count()
-            if total > best:
-                best = total
+        taken = True
+        while taken:
+            # a pass takes each vertex of degree <= 1 it meets and notes a
+            # maximum-degree vertex; a take can lower degrees already read,
+            # so passes repeat until one takes nothing
+            taken, vbest, dbest = False, -1, 1
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                if not mask & low:
+                    continue  # the neighbour of a vertex taken this pass
+                v = low.bit_length() - 1
+                nbrs = adj[v] & mask
+                dv = nbrs.bit_count()
+                if dv <= 1:
+                    mask ^= low | nbrs
+                    size += 1
+                    taken = True
+                elif dv > dbest:
+                    vbest, dbest = v, dv
+        if not mask:
+            if size > best:
+                best = size
             return
         if size + clique_cover_bound(mask) <= best:
             return

@@ -161,12 +161,19 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, s
 
     Subsets grow one vertex at a time, and the code of the chosen prefix
     (see _copy_code) grows by the new vertex's row of adjacencies to the
-    vertices before it; rows[v] holds that row, one bit per position. A
-    prefix whose code is not in the set for its length begins no labelled
-    copy, so it is dropped with every subset extending it."""
+    vertices before it. One rows list serves the whole call: rows[w] holds
+    w's row, one bit per position. Choosing v at position m sets bit m in
+    the rows of v's neighbours above v, and clears it again once the
+    subsets extending that choice are done; later positions hold only
+    vertices above v, so no other row is read. A prefix whose code is not
+    in the set for its length begins no labelled copy, so it is dropped
+    with every subset extending it."""
     chosen: list[int] = []
+    rows = [0] * n
+    # -(2 << v) keeps the bits above v
+    above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
 
-    def extend(m: int, code: int, start: int, rows: list[int]):
+    def extend(m: int, code: int, start: int):
         shift = m * (m - 1) // 2
         stop = n - k + m + 1
         if m == k - 1:
@@ -179,15 +186,19 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, s
         for v in range(start, stop):
             c = code | rows[v] << shift
             if c in level:
-                a = adj[v]
+                nbrs = above[v]
+                for w in nbrs:
+                    rows[w] |= bit
                 chosen.append(v)
-                hit = extend(m + 1, c, v + 1, [r | bit if a >> w & 1 else r for w, r in enumerate(rows)])
+                hit = extend(m + 1, c, v + 1)
                 chosen.pop()
+                for w in nbrs:
+                    rows[w] ^= bit
                 if hit:
                     return hit
         return None
 
-    return extend(0, 0, 0, [0] * n)
+    return extend(0, 0, 0)
 
 
 def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:

@@ -1,6 +1,8 @@
 """Command-line front end: residue traces, analysis records, verification."""
 
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -421,3 +423,35 @@ def test_verify_all_is_byte_identical_across_hash_seeds():
     assert a.returncode == b.returncode == 0, a.stderr + b.stderr
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)
+
+
+def bench_corpus_g6(seed):
+    """graph6 lines of the benchmark's analyze corpus, read from
+    bench/inputs.py (which imports nothing of the package)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return "".join(r["g6"] + "\n" for r in inputs.analyze_corpus(seed))
+
+
+# sha256 of stdout for two fixed runs: a kernel change that alters any
+# reported byte fails here. Change a digest only with an intended change
+# of output, and say so where the change is recorded.
+PINNED_STDOUT_SHA256 = {
+    "analyze-json-seed-0": "e51921419468ea098047344b269515a79d8c4d6a33bcd69525470ab3e91be680",
+    "verify-all-max-n-7": "f7d42e2325680d295c72f501ae13a04b8537831d9ddcdd2462d850c68408e69e",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(bench_corpus_g6(0))
+    runs = {
+        "analyze-json-seed-0": ("analyze", "--input", str(corpus), "--format", "json"),
+        "verify-all-max-n-7": ("verify", "all", "--max-n", "7"),
+    }
+    for key, argv in runs.items():
+        proc = run_module("hhresidue", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_STDOUT_SHA256[key], key

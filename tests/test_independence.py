@@ -91,6 +91,56 @@ def test_alpha_matches_networkx_clique_of_complement():
             assert independence_number(g) == nx_alpha(g), g
 
 
+def shuffled(n, edges, rng):
+    """The graph on n vertices with the given edges, labels shuffled."""
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def random_forest(n, rng):
+    """Each vertex after the first joins a random earlier one, or starts a
+    new tree with probability 0.1."""
+    return shuffled(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= 0.1], rng)
+
+
+def random_caterpillar(n, rng):
+    """A spine path of 2..n//2 vertices, every other vertex a leaf on a
+    random spine vertex."""
+    spine = rng.randint(2, n // 2)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(rng.randrange(spine), v) for v in range(spine, n)]
+    return shuffled(n, edges, rng)
+
+
+def test_alpha_closed_forms_at_orders_21_to_24():
+    """Beyond the subset sweep's bound, where degree-<=1 vertices are taken
+    without branching: paths, stars, cycles and matchings with isolated
+    vertices, each with shuffled labels."""
+    rng = random.Random(2124)
+    for n in range(21, 25):
+        assert independence_number(shuffled(n, path(n).edges(), rng)) == (n + 1) // 2
+        assert independence_number(shuffled(n, [(0, v) for v in range(1, n)], rng)) == n - 1
+        assert independence_number(shuffled(n, cycle(n).edges(), rng)) == n // 2
+        for m in range(n // 2 + 1):
+            matching = [(2 * i, 2 * i + 1) for i in range(m)]
+            assert independence_number(shuffled(n, matching, rng)) == n - m
+
+
+def test_alpha_of_forests_matches_networkx_matching():
+    """A forest is bipartite, so alpha = n - maximum matching (Konig),
+    computed by networkx; at n <= 20 also by the subset sweep."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1965)
+    for n in range(5, 25):
+        for make in (random_forest, random_caterpillar):
+            g = make(n, rng)
+            ng = nx.Graph(g.edges())
+            alpha = n - len(nx.max_weight_matching(ng, maxcardinality=True))
+            assert independence_number(g) == alpha, g
+            if n <= 20:
+                assert independence_number_bitmask(g) == alpha, g
+
+
 # --- vertices common to every maximum independent set ----------------------
 
 

@@ -181,6 +181,55 @@ def test_scans_match_reference_on_relabelled_catalog_and_threshold_graphs():
         assert_scans_match_reference(g)
 
 
+def gnp(n, p, rng):
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def grown_in_class_graph(n, rng):
+    """A strong Havel-Hakimi graph of order n grown one vertex at a time: a
+    random neighborhood is kept when the graph stays in the class, else the
+    vertex is isolated or dominating, which keeps it in the class."""
+    g = Graph(0)
+    for k in range(n):
+        nbrs = [u for u in range(k) if rng.random() < 0.5]
+        h = Graph(k + 1, g.edges() + [(u, k) for u in nbrs])
+        if strong_hh_witness(h) is not None:
+            nbrs = range(k) if rng.random() < 0.5 else ()
+            h = Graph(k + 1, g.edges() + [(u, k) for u in nbrs])
+        g = h
+    return g
+
+
+def test_scans_match_reference_above_order_10():
+    """The first witness, by the scan and by the reference route, on seeded
+    G(n, p) graphs of orders 11..20 (most hit early, so the reference
+    route stays cheap), on relabelled in-class graphs of orders 11 and 12,
+    and on those graphs with one arbitrary vertex added, whose witness, if
+    any, must contain that vertex."""
+    rng = random.Random(2015)
+    for n in range(11, 21):
+        for p in (0.1, 0.2, 0.3, 0.5, 0.8) * 2:
+            g = gnp(n, p, rng)
+            assert witness_pair(g) == reference_witness(g), (n, p)
+    hits = 0
+    for n in (11, 12):
+        for _ in range(5):
+            g = grown_in_class_graph(n, rng)
+            h = Graph(n + 1, g.edges() + [(u, n) for u in range(n) if rng.random() < 0.5])
+            g = relabel(g, rng.sample(range(n), n))
+            perm = rng.sample(range(n + 1), n + 1)
+            h = relabel(h, perm)
+            assert witness_pair(g) is None
+            assert reference_witness(g) is None
+            assert definitional_violation(g) is None
+            hit = witness_pair(h)
+            assert hit == reference_witness(h)
+            if hit:
+                hits += 1
+                assert perm[n] in hit[1]
+    assert hits
+
+
 # --- class recognizers -------------------------------------------------------
 
 
