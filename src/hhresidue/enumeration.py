@@ -1,18 +1,24 @@
 """Exhaustive generation of all isomorphism classes of small graphs.
 
-Representatives of order n are grown from those of order n-1 by attaching a
-new vertex, but only with neighborhoods that make it a minimum-degree
-vertex of the result. Each such candidate's
-:func:`~hhresidue.graphs.vertex_invariants` list is computed once, and the
-candidate is dropped unless the new vertex has the least entry in it (the
-cheap half of McKay's canonical augmentation). The sweep is complete: the
-invariant is isomorphism-invariant, so every graph on n vertices is its
-least-invariant-vertex-deleted subgraph plus that vertex. The sorted list
-is a kept candidate's bucket key, and the candidate becomes a
-representative only when the isomorphism matcher, fed the stored lists,
-rejects every representative already in its bucket. Buckets live for one
-order only. Results are cached per order and listed in generation order,
-so repeated sweeps are cheap and deterministic.
+Representatives of order n are grown from those of order n-1 by attaching
+a new vertex, but only with neighborhoods that make it a minimum-degree
+vertex of the result. Only those are generated: with k neighbours, every
+vertex of degree k-1 is among them and the rest come from the vertices of
+degree at least k, so k is at most the minimum degree plus one. A
+candidate is dropped unless the new vertex has the least entry of its
+:func:`~hhresidue.graphs.vertex_invariants` list (the cheap half of
+McKay's canonical augmentation). That list is computed once per parent
+and derived from it for each candidate: only the new vertex's neighbours
+and theirs get new entries, and a candidate whose new vertex has more
+triangles than a rival of its degree is dropped before any entry is
+built. The sweep is complete: the invariant is isomorphism-invariant, so
+every graph on n vertices is its least-invariant-vertex-deleted subgraph
+plus that vertex. The sorted list is a kept candidate's bucket key, and
+the candidate becomes a representative only when the isomorphism
+matcher, fed the stored lists, rejects every representative already in
+its bucket. Buckets live for one order only. Results are cached per order
+and listed in generation order, so repeated sweeps are cheap and
+deterministic.
 
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
@@ -24,6 +30,8 @@ already kept.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .graphs import Graph, _match, check_order, is_isomorphic, iter_bits, vertex_invariants
 
@@ -44,27 +52,69 @@ def enumerate_graphs(n: int) -> list[Graph]:
         buckets: dict[tuple, list[tuple[Graph, list]]] = {}
         new_bit = 1 << (n - 1)
         for g in enumerate_graphs(n - 1):
-            base, deg = g.adj, g.degrees
-            for pattern in range(1 << (n - 1)):
-                k = pattern.bit_count()
-                # the new vertex must have minimum degree in the result
-                if any(k > d + (pattern >> u & 1) for u, d in enumerate(deg)):
+            g_inv = vertex_invariants(g)
+            for pattern in _min_degree_patterns(g.degrees):
+                inv = _child_invariants(g, g_inv, pattern)
+                if inv is None:
                     continue
-                adj = list(base)
+                adj = list(g.adj)
                 adj.append(pattern)
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
                 h = Graph._from_adj(n, tuple(adj))
-                inv = vertex_invariants(h)
-                # the new vertex must also have the least invariant
-                if inv[-1] != min(inv):
-                    continue
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])
                 if not any(_match(h, inv, r, r_inv) for r, r_inv in bucket):
                     bucket.append((h, inv))
                     reps.append(h)
     _cache[n] = reps
     return reps
+
+
+def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
+    """Every neighbourhood mask that makes a new vertex, attached to a
+    graph with these degrees, a minimum-degree vertex of the result, in
+    ascending order."""
+    patterns = []
+    for k in range(min(degrees) + 2):
+        forced = sum(1 << u for u, d in enumerate(degrees) if d == k - 1)
+        free = [1 << u for u, d in enumerate(degrees) if d >= k]
+        r = k - forced.bit_count()
+        if r >= 0:
+            patterns.extend(forced + sum(c) for c in combinations(free, r))
+    patterns.sort()
+    return patterns
+
+
+def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
+    """The vertex_invariants list of g plus a new vertex adjacent to the
+    pattern, derived from g's list g_inv, or None unless the new vertex
+    has the least entry; the pattern must leave it of minimum degree. A
+    pattern vertex gains one degree and a triangle per pattern neighbour,
+    the new vertex has one triangle per edge inside the pattern, and only
+    the pattern's vertices and their neighbours get new neighbour degrees."""
+    adj = g.adj
+    inside = iter_bits(pattern)
+    gained = {u: (adj[u] & pattern).bit_count() for u in inside}
+    k, tri = len(inside), sum(gained.values()) // 2
+    deg = list(g.degrees)
+    for u in inside:
+        deg[u] += 1
+    # its rivals have degree k: compare (degree, triangles) before any tuple
+    for u, d in enumerate(deg):
+        if d == k and g_inv[u][1] + gained.get(u, 0) < tri:
+            return None
+    deg.append(k)
+    new_bit = 1 << g.n
+    near = 0
+    inv = g_inv.copy()
+    for u in inside:
+        a = adj[u]
+        near |= a
+        inv[u] = (deg[u], g_inv[u][1] + gained[u], tuple(sorted([deg[w] for w in iter_bits(a | new_bit)])))
+    for u in iter_bits(near & ~pattern):
+        inv[u] = (deg[u], g_inv[u][1], tuple(sorted([deg[w] for w in iter_bits(adj[u])])))
+    inv.append((k, tri, tuple(sorted([deg[w] for w in inside]))))
+    return inv if inv[-1] == min(inv) else None
 
 
 def isomorphism_class_count_labeled(n: int) -> int:

@@ -8,8 +8,10 @@ vertices; for masks below 2^9 (every vertex set of a graph of order <= 9)
 it reads a table built at import.
 One vertex invariant, :func:`vertex_invariants` (degree, triangles through
 the vertex, sorted neighbor degrees), serves both isomorphism and the
-enumeration's buckets. Isomorphism is decided exactly by a backtracking
-search that maps each vertex only to vertices with the same invariant.
+enumeration's buckets; the enumeration derives each candidate's list from
+its parent's, and this function stays the definition. Isomorphism is
+decided exactly by a backtracking search that maps each vertex only to
+vertices with the same invariant.
 
 Every exact computation in the package is exponential in the order (the
 class scans are a steep polynomial), so each stops at a bound held in the

@@ -1,14 +1,23 @@
 """Isomorphism-class generation."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given
 
+from hhresidue import enumeration
 from hhresidue.catalog import complete, cycle, path
-from hhresidue.enumeration import enumerate_graphs, isomorphism_class_count_labeled
-from hhresidue.graphs import induced_subgraph, is_isomorphic, vertex_invariants
+from hhresidue.enumeration import (
+    _child_invariants,
+    _min_degree_patterns,
+    enumerate_graphs,
+    isomorphism_class_count_labeled,
+)
+from hhresidue.graph6 import emit_graph6
+from hhresidue.graphs import Graph, _match, induced_subgraph, is_isomorphic, iter_bits, vertex_invariants
 
-from strategies import graphs_up_to
+from strategies import degree_term_lists, graphs, graphs_up_to
 
 
 def test_counts_up_to_6():
@@ -79,13 +88,89 @@ def test_new_vertex_has_least_invariant():
             assert inv[-1] == min(inv), g
 
 
-def test_each_candidate_invariant_is_computed_once(monkeypatch):
-    """Building orders 2..6 from a cold cache computes vertex_invariants
-    once per candidate: once per parent and neighbourhood that leaves the
-    new vertex of minimum degree. Every candidate is a distinct labelled
-    graph, since its parent is its induced subgraph on the old vertices."""
-    from hhresidue import enumeration
+# sha256 of the representatives' graph6 lines, joined by newlines, in
+# generation order, per order 1..8
+REPS_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "b16815a25e62fc8532db4ef92a867fbaf4cfd03494c55ddbe0f94ffe8989ba12",
+    4: "00f3b50aca2d613b06e342d2f50f62d63ec60609ba317b8d7fc3fbd0f62de75b",
+    5: "e2f3005c15558b10c0511937c6a93e725c87230095c9cca6d0ea497e672ec2a9",
+    6: "608ec093b7ef42fdcfdbc74ea0118808ef51c1dedaa4c731f88e64491acde95f",
+    7: "2a7d4280c2ed8d6ed496814ef2a067bd6d4c70314a781f2f87d42b4c8a262792",
+    8: "75f6a7317c09f8e05d3277a242e8aa552936fb2e0f188e50915ce4e526e17d2f",
+}
 
+
+def test_representatives_digest():
+    """The representatives, their labels and their order, pinned per order."""
+    for n, digest in REPS_SHA256.items():
+        text = "\n".join(emit_graph6(g) for g in enumerate_graphs(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def test_matcher_calls_per_order(monkeypatch):
+    """The isomorphism matcher runs as often as pinned at orders 2..7 when
+    built from a cold cache."""
+    monkeypatch.setattr(enumeration, "_cache", {})
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _match(*args)
+
+    monkeypatch.setattr(enumeration, "_match", counting)
+    per_order = []
+    for n in range(1, 8):
+        before = len(calls)
+        enumerate_graphs(n)
+        per_order.append(len(calls) - before)
+    assert per_order == [0, 0, 1, 5, 26, 126, 912]
+
+
+def _old_filter(degrees):
+    """The neighbourhood masks that leave a new vertex of minimum degree,
+    found by testing every mask."""
+    return [
+        p
+        for p in range(1 << len(degrees))
+        if all(p.bit_count() <= d + (p >> u & 1) for u, d in enumerate(degrees))
+    ]
+
+
+def test_min_degree_patterns_of_every_parent():
+    for g in graphs_up_to(7):
+        assert _min_degree_patterns(g.degrees) == _old_filter(g.degrees), g
+
+
+@given(degree_term_lists(max_len=9, max_term=9).filter(bool))
+def test_min_degree_patterns_of_any_degrees(degrees):
+    assert _min_degree_patterns(tuple(degrees)) == _old_filter(degrees)
+
+
+def _check_children(g):
+    """Each min-degree child's derived list is its vertex_invariants list,
+    or None exactly when the new vertex lacks the least entry."""
+    g_inv = vertex_invariants(g)
+    for p in _min_degree_patterns(g.degrees):
+        h = Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(p)])
+        inv = vertex_invariants(h)
+        assert _child_invariants(g, g_inv, p) == (inv if inv[-1] == min(inv) else None), (g, p)
+
+
+def test_child_invariants_of_every_parent():
+    for g in graphs_up_to(6):
+        _check_children(g)
+
+
+@given(graphs(min_n=1, max_n=8))
+def test_child_invariants_of_any_graph(g):
+    _check_children(g)
+
+
+def test_invariants_computed_once_per_parent(monkeypatch):
+    """Building orders 2..6 from a cold cache computes vertex_invariants
+    once for each representative of orders 1..5, in generation order."""
     monkeypatch.setattr(enumeration, "_cache", {})
     seen = []
 
@@ -95,12 +180,4 @@ def test_each_candidate_invariant_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "vertex_invariants", counting)
     enumerate_graphs(6)
-    expected = 0
-    for n in range(2, 7):
-        for g in enumeration._cache[n - 1]:
-            for pattern in range(1 << (n - 1)):
-                new_degree = pattern.bit_count()
-                degrees = [d + (pattern >> u & 1) for u, d in enumerate(g.degrees)]
-                expected += all(new_degree <= d for d in degrees)
-    assert len(seen) == len(set(seen)) == expected
-    assert set(g for n in range(2, 7) for g in enumeration._cache[n]) <= set(seen)
+    assert seen == [g for n in range(1, 6) for g in enumeration._cache[n]]
