@@ -1,6 +1,6 @@
 """Named small graphs with fixed, documented labelings.
 
-Parameterized families (paths, cycles, cliques, bicliques) plus the fixed
+Parameterized families (paths, cliques, bicliques) plus the fixed
 five- and six-vertex graphs used by the recognizers and the enumeration
 checks. ``FORBIDDEN_SUBGRAPHS`` lists, in scan order, the nine minimal
 graphs whose absence as induced subgraphs characterizes the strong
@@ -22,13 +22,6 @@ def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n: int) -> Graph:
-    """C_n: the path 0..n-1 closed by the edge (n-1, 0); needs n >= 3."""
-    if n < 3:
-        raise ValueError("a simple cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:

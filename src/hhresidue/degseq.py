@@ -1,10 +1,11 @@
-"""Degree-sequence arithmetic: the largest-term reduction, graphicality
-tests, and the residue.
+"""Degree-sequence arithmetic: the largest-term reduction, the
+graphicality test it gives, and the residue.
 
 A sequence here is any iterable of nonnegative ints; every observable
-sequence (inputs echoed in traces, step results) is nonincreasing. Two
-independent graphicality tests are provided: the reduction itself and the
-Erdos-Gallai inequalities.
+sequence (inputs echoed in traces, step results) is nonincreasing. A
+sequence is graphical when the reduction ends at a list of zeros; the
+tests check that against the Erdos-Gallai inequalities, an independent
+route kept in tests/oracles.py.
 
 :func:`hh_reduce` stores every step (O(n^2) memory) and is meant for
 printing traces. :func:`residue` and :func:`is_graphical` run the same
@@ -153,21 +154,6 @@ def _histogram_residue(terms: tuple[int, ...]) -> int | None:
 def is_graphical(seq: Iterable[int]) -> bool:
     """True iff the reduction terminates at a list of zeros."""
     return _histogram_residue(_validated(tuple(seq))) is not None
-
-
-def is_graphical_erdos_gallai(seq: Iterable[int]) -> bool:
-    """Independent graphicality test: even sum plus the k-prefix
-    inequalities sum(d_1..d_k) <= k(k-1) + sum(min(d_i, k) for i > k)."""
-    d = _normalized(seq)
-    if sum(d) % 2:
-        return False
-    n = len(d)
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        if prefix > k * (k - 1) + sum(min(x, k) for x in d[k:]):
-            return False
-    return True
 
 
 def residue(seq: Iterable[int]) -> int:

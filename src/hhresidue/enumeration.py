@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, _match, check_order, is_isomorphic, iter_bits, vertex_invariants
+from .graphs import Graph, _match, check_order, iter_bits, vertex_invariants
 
 _cache: dict[int, list[Graph]] = {}
 
@@ -116,19 +116,3 @@ def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
     inv.append((k, tri, tuple(sorted([deg[w] for w in inside]))))
     return inv if inv[-1] == min(inv) else None
 
-
-def isomorphism_class_count_labeled(n: int) -> int:
-    """Independent count oracle: enumerate all 2^C(n,2) labeled graphs and
-    deduplicate by isomorphism tests within degree-sequence buckets (no
-    augmentation). Exponential, hence its scale bound."""
-    check_order("labeled count", n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    reps_by_degseq: dict[tuple[int, ...], list[Graph]] = {}
-    count = 0
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        bucket = reps_by_degseq.setdefault(g.degree_sequence(), [])
-        if not any(is_isomorphic(g, r) for r in bucket):
-            bucket.append(g)
-            count += 1
-    return count

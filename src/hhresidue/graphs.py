@@ -30,7 +30,6 @@ SCALE_MAX_N: dict[str, int] = {
     "maxine branching": 9,  # independence.maxine_all_branches
     "definitional": 12,  # recognition.definitional_violation
     "enumeration": 8,  # enumeration.enumerate_graphs, hence verify --max-n
-    "labeled count": 5,  # enumeration.isomorphism_class_count_labeled
     "class scans": 20,  # analyze: in_s, witness, threshold, config-free
 }
 
@@ -142,27 +141,6 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [m << g.n for m in h.adj]
     return Graph._from_adj(g.n + h.n, tuple(adj))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph on the given vertices, relabeled densely.
-
-    The new labels follow sorted order, i.e. new vertex i is
-    sorted(set(vertices))[i]; that sorted list is the back-map for
-    translating witnesses to the host graph.
-    """
-    vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError("vertex out of range")
-    k = len(vs)
-    adj = [0] * k
-    for i in range(k):
-        av = g.adj[vs[i]]
-        for j in range(i + 1, k):
-            if av >> vs[j] & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph._from_adj(k, tuple(adj))
 
 
 def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:

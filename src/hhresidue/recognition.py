@@ -10,9 +10,11 @@ violating subset, and a scan for the nine minimal forbidden induced
 subgraphs. Per subset, the sweep sorts the vertices into one bitmask per
 induced degree; a maximum-degree vertex fails when one of its
 non-neighbors lies in a level above the lowest level that meets its
-neighborhood. The module also gives two plain boolean tests: the absence
-of the five-vertex configuration that characterizes matrogenic graphs,
-and threshold recognition by peeling isolated and dominating vertices.
+neighborhood. The tests check that against the property tested vertex
+by vertex, a route kept in tests/oracles.py. The module also gives two
+plain boolean tests: the absence of the five-vertex configuration that
+characterizes matrogenic graphs, and threshold recognition by peeling
+isolated and dominating vertices.
 
 The forbidden-subgraph scan reads one table, built once per process on
 first use: every labelled copy of every catalog graph, each coded with
@@ -32,23 +34,6 @@ from dataclasses import dataclass
 
 from .catalog import FORBIDDEN_SUBGRAPHS
 from .graphs import Graph, check_order, iter_bits
-
-
-def has_hh_property(g: Graph, v: int) -> bool:
-    """True iff v has maximum degree and min degree over N(v) is at least
-    the max degree over the non-neighbors of v (vacuous when either side
-    is empty)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    deg = g.degrees
-    if deg[v] != max(deg):
-        return False
-    nbr = g.adj[v]
-    nbr_degs = [deg[u] for u in iter_bits(nbr)]
-    non_degs = [deg[u] for u in range(g.n) if u != v and not nbr >> u & 1]
-    if not nbr_degs or not non_degs:
-        return True
-    return min(nbr_degs) >= max(non_degs)
 
 
 def definitional_violation(g: Graph) -> int | None:

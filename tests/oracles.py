@@ -1,0 +1,81 @@
+"""Second routes that only the tests call: each checks an exact answer of
+the package by a different computation, so none of them ships in it."""
+
+from collections.abc import Iterable
+
+from hhresidue.graphs import Graph, is_isomorphic, iter_bits
+
+
+def has_hh_property(g: Graph, v: int) -> bool:
+    """True iff v has maximum degree and min degree over N(v) is at least
+    the max degree over the non-neighbors of v (vacuous when either side
+    is empty). The definitional oracle's reference, vertex by vertex."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    deg = g.degrees
+    if deg[v] != max(deg):
+        return False
+    nbr = g.adj[v]
+    nbr_degs = [deg[u] for u in iter_bits(nbr)]
+    non_degs = [deg[u] for u in range(g.n) if u != v and not nbr >> u & 1]
+    if not nbr_degs or not non_degs:
+        return True
+    return min(nbr_degs) >= max(non_degs)
+
+
+def is_graphical_erdos_gallai(seq: Iterable[int]) -> bool:
+    """Graphicality by the Erdos-Gallai inequalities (1960): even sum plus
+    sum(d_1..d_k) <= k(k-1) + sum(min(d_i, k) for i > k) for every k."""
+    d = sorted(seq, reverse=True)
+    if sum(d) % 2:
+        return False
+    n = len(d)
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        if prefix > k * (k - 1) + sum(min(x, k) for x in d[k:]):
+            return False
+    return True
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Induced subgraph on the given vertices, relabeled densely: new
+    vertex i is sorted(set(vertices))[i]."""
+    vs = sorted(set(vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ValueError("vertex out of range")
+    k = len(vs)
+    adj = [0] * k
+    for i in range(k):
+        av = g.adj[vs[i]]
+        for j in range(i + 1, k):
+            if av >> vs[j] & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph._from_adj(k, tuple(adj))
+
+
+def isomorphism_class_count_labeled(n: int) -> int:
+    """Count the classes of order n by enumerating all 2^C(n,2) labeled
+    graphs and deduplicating by isomorphism tests within degree-sequence
+    buckets (no augmentation). Exponential: meant for n <= 5."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    reps_by_degseq: dict[tuple[int, ...], list[Graph]] = {}
+    count = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        bucket = reps_by_degseq.setdefault(g.degree_sequence(), [])
+        if not any(is_isomorphic(g, r) for r in bucket):
+            bucket.append(g)
+            count += 1
+    return count
+
+
+def to_networkx(g: Graph):
+    """g as a networkx Graph on nodes 0..n-1. networkx is imported here,
+    not at module level, so the other oracles work without it."""
+    import networkx as nx
+
+    ng = nx.Graph(g.edges())
+    ng.add_nodes_from(range(g.n))
+    return ng

@@ -19,6 +19,13 @@ def relabel(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def cycle(n: int) -> Graph:
+    """C_n: the path 0..n-1 closed by the edge (n-1, 0); needs n >= 3."""
+    if n < 3:
+        raise ValueError("a simple cycle needs at least three vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8):
     """A random graph: uniform order in [min_n, max_n], arbitrary edge set."""

@@ -9,12 +9,13 @@ from hhresidue.catalog import (
     co_domino,
     complete,
     complete_bipartite,
-    cycle,
     domino,
     k23_plus,
     path,
 )
 from hhresidue.graphs import complement, is_isomorphic
+
+from strategies import cycle
 
 # (vertices, edges, degree sequence) for every forbidden member.
 FORBIDDEN_SHAPES = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import hhresidue.degseq
-from hhresidue.catalog import complete, cycle
+from hhresidue.catalog import complete
 from hhresidue.degseq import (
     ALL_ZERO,
     NEGATIVE_TERM,
@@ -15,13 +15,13 @@ from hhresidue.degseq import (
     hh_reduce,
     hh_step,
     is_graphical,
-    is_graphical_erdos_gallai,
     residue,
 )
 from hhresidue.graphs import Graph
 from hhresidue.harness import GraphRecord
 
-from strategies import degree_term_lists, graphs
+from oracles import is_graphical_erdos_gallai
+from strategies import cycle, degree_term_lists, graphs
 
 
 def step_subtracting_last_ties(seq):

@@ -5,8 +5,8 @@ import itertools
 import json
 
 from hhresidue import harness, recognition
-from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, cycle, pan4, path
-from hhresidue.graphs import induced_subgraph, is_isomorphic, iter_bits
+from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, pan4, path
+from hhresidue.graphs import is_isomorphic, iter_bits
 from hhresidue.harness import (
     THEOREM_CHECKS,
     on_c4_or_p5_center,
@@ -15,7 +15,8 @@ from hhresidue.harness import (
 )
 from hhresidue.recognition import definitional_violation
 
-from strategies import graphs_up_to
+from oracles import induced_subgraph
+from strategies import cycle, graphs_up_to
 
 
 def test_minimal_forbidden_up_to_5():

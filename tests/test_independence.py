@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hhresidue.catalog import complete, cycle, path
+from hhresidue.catalog import complete, path
 from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
 from hhresidue.harness import on_c4_or_p5_center
@@ -19,7 +19,8 @@ from hhresidue.independence import (
     maxine_run,
 )
 
-from strategies import graphs, graphs_up_to
+from oracles import to_networkx
+from strategies import cycle, graphs, graphs_up_to
 
 
 def brute_alpha(g):
@@ -76,9 +77,7 @@ def test_alpha_matches_networkx_clique_of_complement():
     nx = pytest.importorskip("networkx")
 
     def nx_alpha(g):
-        ng = nx.Graph(g.edges())
-        ng.add_nodes_from(range(g.n))
-        return len(nx.max_weight_clique(nx.complement(ng), weight=None)[0])
+        return len(nx.max_weight_clique(nx.complement(to_networkx(g)), weight=None)[0])
 
     classes = list(graphs_up_to(7))
     assert len(classes) == 1252
@@ -134,8 +133,7 @@ def test_alpha_of_forests_matches_networkx_matching():
     for n in range(5, 25):
         for make in (random_forest, random_caterpillar):
             g = make(n, rng)
-            ng = nx.Graph(g.edges())
-            alpha = n - len(nx.max_weight_matching(ng, maxcardinality=True))
+            alpha = n - len(nx.max_weight_matching(to_networkx(g), maxcardinality=True))
             assert independence_number(g) == alpha, g
             if n <= 20:
                 assert independence_number_bitmask(g) == alpha, g
@@ -159,9 +157,7 @@ def test_common_mis_matches_networkx_on_classes_up_to_7():
     classes = list(graphs_up_to(7))
     assert len(classes) == 1252
     for g in classes:
-        ng = nx.Graph(g.edges())
-        ng.add_nodes_from(range(g.n))
-        cliques = list(nx.find_cliques(nx.complement(ng)))
+        cliques = list(nx.find_cliques(nx.complement(to_networkx(g))))
         size = max(map(len, cliques))
         common = set(range(g.n)).intersection(*(c for c in cliques if len(c) == size))
         assert common_mis_mask(g) == sum(1 << v for v in common), g

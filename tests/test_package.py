@@ -1,8 +1,12 @@
-"""The package's top level: three re-exported names and a small import."""
+"""The package's top level: three re-exported names, a small import, and
+no public name that only the tests reach."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import hhresidue
 from hhresidue import graphs, independence, recognition
@@ -56,3 +60,63 @@ def test_copy_table_is_built_on_first_use_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _mentions(node):
+    """Names read in node: Name and Attribute loads and import aliases.
+    String literals are not names, so a name kept only in a string (such as
+    a benchmark trace site) has no caller."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+            if sub.asname:
+                yield sub.asname
+
+
+def _defined(stmt):
+    """The public names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _script_targets():
+    """The attributes named by pyproject.toml's [project.scripts] entries."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return set(re.findall(r':(\w+)"', section.group(1))) if section else set()
+
+
+def test_every_public_name_has_a_caller():
+    """Every top-level public def, class and assignment in src/hhresidue is
+    read somewhere outside its own definition: elsewhere in src/, in
+    scripts/ or bench/, or as a console-script target. A name that only
+    the tests call belongs in tests/."""
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    bodies = {path: ast.parse(path.read_text()).body for path in sources}
+    # (file, top-level statement) -> the names it reads
+    reads = {(path, i): set(_mentions(stmt)) for path, body in bodies.items() for i, stmt in enumerate(body)}
+    called = _script_targets()
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path, body in bodies.items()
+        if path.parent == ROOT / "src" / "hhresidue"
+        for i, stmt in enumerate(body)
+        for name in _defined(stmt)
+        if name not in called and not any(name in names for key, names in reads.items() if key != (path, i))
+    ]
+    assert uncalled == []

@@ -12,24 +12,23 @@ from hhresidue.catalog import (
     FORBIDDEN_SUBGRAPHS,
     complete,
     complete_bipartite,
-    cycle,
     k23_plus,
     p3_plus_k3,
     path,
     two_p3,
 )
 from hhresidue.degseq import hh_step
-from hhresidue.graphs import Graph, disjoint_union, induced_subgraph, is_isomorphic, iter_bits
+from hhresidue.graphs import Graph, disjoint_union, is_isomorphic, iter_bits
 from hhresidue.recognition import (
     definitional_violation,
-    has_hh_property,
     is_matrogenic_config_free,
     is_strong_havel_hakimi_definitional,
     is_threshold,
     strong_hh_witness,
 )
 
-from strategies import graphs, graphs_up_to, relabel
+from oracles import has_hh_property, induced_subgraph, to_networkx
+from strategies import cycle, graphs, graphs_up_to, relabel
 
 
 def pendant_on_c5():
@@ -398,9 +397,7 @@ def networkx_is_threshold(g):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.threshold import is_threshold_graph
 
-    ng = nx.Graph(g.edges())
-    ng.add_nodes_from(range(g.n))
-    return is_threshold_graph(ng)
+    return is_threshold_graph(to_networkx(g))
 
 
 def test_threshold_matches_networkx_up_to_7():
