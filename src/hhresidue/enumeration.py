@@ -4,21 +4,26 @@ Representatives of order n are grown from those of order n-1 by attaching
 a new vertex, but only with neighborhoods that make it a minimum-degree
 vertex of the result. Only those are generated: with k neighbours, every
 vertex of degree k-1 is among them and the rest come from the vertices of
-degree at least k, so k is at most the minimum degree plus one. A
-candidate is dropped unless the new vertex has the least entry of its
-:func:`~hhresidue.graphs.vertex_invariants` list (the cheap half of
-McKay's canonical augmentation). That list is computed once per parent
-and derived from it for each candidate: only the new vertex's neighbours
-and theirs get new entries, and a candidate whose new vertex has more
+degree at least k, so k is at most the minimum degree plus one.
+
+The module owns the package's one vertex invariant and its one
+isomorphism matcher. The invariant of vertex v, :func:`vertex_invariants`,
+is the triple (degree, triangles through v, sorted neighbour degrees). An
+isomorphism maps every vertex to one with the same triple, so isomorphic
+graphs have equal sorted lists. A candidate is dropped unless the new
+vertex has the least entry of its list (the cheap half of McKay's
+canonical augmentation). That list is computed once per parent and
+derived from it for each candidate: only the new vertex's neighbours and
+theirs get new entries, and a candidate whose new vertex has more
 triangles than a rival of its degree is dropped before any entry is
 built. The sweep is complete: the invariant is isomorphism-invariant, so
 every graph on n vertices is its least-invariant-vertex-deleted subgraph
 plus that vertex. The sorted list is a kept candidate's bucket key, and
-the candidate becomes a representative only when the isomorphism
-matcher, fed the stored lists, rejects every representative already in
-its bucket. Buckets live for one order only. Results are cached per order
-and listed in generation order, so repeated sweeps are cheap and
-deterministic.
+the candidate becomes a representative only when the matcher, a
+backtracking search that maps each vertex only to vertices with the same
+triple, rejects every representative already in its bucket. Buckets live
+for one order only. Results are cached per order and listed in
+generation order, so repeated sweeps are cheap and deterministic.
 
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, _match, check_order, iter_bits, vertex_invariants
+from .graphs import Graph, check_order, iter_bits
 
 _cache: dict[int, list[Graph]] = {}
 
@@ -85,6 +90,19 @@ def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
     return patterns
 
 
+def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The invariant of the module docstring, vertex by vertex."""
+    adj, deg = g.adj, g.degrees
+    return [
+        (
+            deg[v],
+            sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
+            tuple(sorted(deg[u] for u in iter_bits(a))),
+        )
+        for v, a in enumerate(adj)
+    ]
+
+
 def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
     """The vertex_invariants list of g plus a new vertex adjacent to the
     pattern, derived from g's list g_inv, or None unless the new vertex
@@ -116,3 +134,44 @@ def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
     inv.append((k, tri, tuple(sorted([deg[w] for w in inside]))))
     return inv if inv[-1] == min(inv) else None
 
+
+def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
+    """Backtracking search for an isomorphism from g to h that maps each
+    vertex to one with the same invariant, checking adjacency to the
+    vertices already mapped. ig and ih are the graphs' vertex_invariants
+    and must be equal as sorted lists."""
+    n = g.n
+    by_class: dict[tuple, list[int]] = {}
+    for w in range(n):
+        by_class.setdefault(ih[w], []).append(w)
+    # map rare classes first
+    order = sorted(range(n), key=lambda v: (len(by_class[ig[v]]), ig[v], v))
+
+    mapping = [-1] * n
+    used = [False] * n
+
+    def backtrack(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        av = g.adj[v]
+        for w in by_class[ig[v]]:
+            if used[w]:
+                continue
+            hw = h.adj[w]
+            ok = True
+            for j in range(i):
+                u = order[j]
+                if (av >> u & 1) != (hw >> mapping[u] & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if backtrack(i + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return backtrack(0)

@@ -6,12 +6,6 @@ degrees, independence checks, and subset scans reduce to popcounts.
 :func:`iter_bits` turns a vertex-set mask into an ascending tuple of
 vertices; for masks below 2^9 (every vertex set of a graph of order <= 9)
 it reads a table built at import.
-One vertex invariant, :func:`vertex_invariants` (degree, triangles through
-the vertex, sorted neighbor degrees), serves both isomorphism and the
-enumeration's buckets; the enumeration derives each candidate's list from
-its parent's, and this function stays the definition. Isomorphism is
-decided exactly by a backtracking search that maps each vertex only to
-vertices with the same invariant.
 
 Every exact computation in the package is exponential in the order (the
 class scans are a steep polynomial), so each stops at a bound held in the
@@ -68,8 +62,7 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     Instances are immutable and hashable. Equality is labeled equality
-    (same vertex count and same edge set), not isomorphism; use
-    :func:`is_isomorphic` for the latter.
+    (same vertex count and same edge set), not isomorphism.
 
     Attributes:
         n: number of vertices.
@@ -141,68 +134,3 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [m << g.n for m in h.adj]
     return Graph._from_adj(g.n + h.n, tuple(adj))
-
-
-def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Per vertex v: (degree, triangles through v, sorted neighbor degrees).
-    An isomorphism maps every vertex to one with the same triple, so
-    isomorphic graphs have equal sorted lists."""
-    adj, deg = g.adj, g.degrees
-    return [
-        (
-            deg[v],
-            sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
-            tuple(sorted(deg[u] for u in iter_bits(a))),
-        )
-        for v, a in enumerate(adj)
-    ]
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """True iff an adjacency-preserving bijection between g and h exists."""
-    if g.n != h.n:
-        return False
-    ig, ih = vertex_invariants(g), vertex_invariants(h)
-    return sorted(ig) == sorted(ih) and _match(g, ig, h, ih)
-
-
-def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
-    """Backtracking search for an isomorphism from g to h that maps each
-    vertex to one with the same invariant, checking adjacency to the
-    vertices already mapped. ig and ih are the graphs' vertex_invariants
-    and must be equal as sorted lists."""
-    n = g.n
-    by_class: dict[tuple, list[int]] = {}
-    for w in range(n):
-        by_class.setdefault(ih[w], []).append(w)
-    # map rare classes first
-    order = sorted(range(n), key=lambda v: (len(by_class[ig[v]]), ig[v], v))
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        av = g.adj[v]
-        for w in by_class[ig[v]]:
-            if used[w]:
-                continue
-            hw = h.adj[w]
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (av >> u & 1) != (hw >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return backtrack(0)

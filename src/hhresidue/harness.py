@@ -22,7 +22,10 @@ from the report alone. The facts checked:
 - the definitional strong Havel-Hakimi oracle agrees with the
   forbidden-subgraph scan ("forb-equivalence");
 - the minimal forbidden induced subgraphs are exactly the nine catalog
-  graphs ("minimal-forbidden");
+  graphs ("minimal-forbidden"). A class is named by its forbidden-scan
+  witness when that spans all its vertices, so no isomorphism test runs;
+  the scan names each labelled copy after the first catalog entry it
+  copies, so an entry repeating an earlier one is never found;
 - residue <= alpha, and residue <= M <= alpha for every achievable Maxine
   size ("residue-bounds");
 - on the class itself, residue = alpha and every Maxine branch returns the
@@ -43,7 +46,7 @@ from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
 from .enumeration import enumerate_graphs
 from .graph6 import emit_graph6
-from .graphs import Graph, is_isomorphic, iter_bits
+from .graphs import Graph, iter_bits
 from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
     ForbiddenWitness,
@@ -187,9 +190,11 @@ def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
     def in_catalog(rec: GraphRecord) -> list[str]:
         if not rec.minimal_forbidden:
             return []
-        hits = [name for name, fg in FORBIDDEN_SUBGRAPHS.items() if is_isomorphic(rec.graph, fg)]
-        matched.update(hits)
-        return [] if hits else ["minimal forbidden graph not in the catalog"]
+        w = rec.witness
+        if w is None or len(w.vertices) < rec.graph.n:
+            return ["minimal forbidden graph not in the catalog"]
+        matched.add(w.name)
+        return []
 
     report = _sweep("minimal-forbidden", n_max, in_catalog)
     violations = list(report.violations)

@@ -3,7 +3,8 @@ the package by a different computation, so none of them ships in it."""
 
 from collections.abc import Iterable
 
-from hhresidue.graphs import Graph, is_isomorphic, iter_bits
+from hhresidue.enumeration import _match, vertex_invariants
+from hhresidue.graphs import Graph, iter_bits
 
 
 def has_hh_property(g: Graph, v: int) -> bool:
@@ -53,6 +54,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph._from_adj(k, tuple(adj))
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """True iff an adjacency-preserving bijection between g and h exists:
+    the enumeration's matcher, run when the sorted invariant lists agree.
+    Not a second route itself; the tests check it against brute force and
+    networkx."""
+    if g.n != h.n:
+        return False
+    ig, ih = vertex_invariants(g), vertex_invariants(h)
+    return sorted(ig) == sorted(ih) and _match(g, ig, h, ih)
 
 
 def isomorphism_class_count_labeled(n: int) -> int:

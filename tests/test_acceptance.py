@@ -12,7 +12,7 @@ from hhresidue.cli import main
 from hhresidue.degseq import is_graphical, residue
 from hhresidue.enumeration import enumerate_graphs
 from hhresidue.graph6 import emit_graph6, parse_graph6
-from hhresidue.graphs import Graph, is_isomorphic
+from hhresidue.graphs import Graph
 from hhresidue.harness import records_up_to, verify
 from hhresidue.independence import (
     independence_number,
@@ -21,7 +21,12 @@ from hhresidue.independence import (
 )
 from hhresidue.recognition import is_strong_havel_hakimi_definitional
 
-from oracles import induced_subgraph, is_graphical_erdos_gallai, isomorphism_class_count_labeled
+from oracles import (
+    induced_subgraph,
+    is_graphical_erdos_gallai,
+    is_isomorphic,
+    isomorphism_class_count_labeled,
+)
 from strategies import graphs_up_to
 
 

@@ -437,11 +437,12 @@ def bench_corpus_g6(seed):
     return "".join(r["g6"] + "\n" for r in inputs.analyze_corpus(seed))
 
 
-# sha256 of stdout for two fixed runs: a kernel change that alters any
+# sha256 of stdout for three fixed runs: a kernel change that alters any
 # reported byte fails here. Change a digest only with an intended change
 # of output, and say so where the change is recorded.
 PINNED_STDOUT_SHA256 = {
     "analyze-json-seed-0": "e51921419468ea098047344b269515a79d8c4d6a33bcd69525470ab3e91be680",
+    "analyze-csv-seed-0": "de8d47a86a222f273531f30faafd53cfbefe6a5775c4d059b6a8092f6d14590a",
     "verify-all-max-n-7": "f7d42e2325680d295c72f501ae13a04b8537831d9ddcdd2462d850c68408e69e",
 }
 
@@ -451,6 +452,7 @@ def test_outputs_match_pinned_digests(tmp_path):
     corpus.write_text(bench_corpus_g6(0))
     runs = {
         "analyze-json-seed-0": ("analyze", "--input", str(corpus), "--format", "json"),
+        "analyze-csv-seed-0": ("analyze", "--input", str(corpus), "--format", "csv"),
         "verify-all-max-n-7": ("verify", "all", "--max-n", "7"),
     }
     for key, argv in runs.items():

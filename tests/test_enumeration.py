@@ -8,11 +8,17 @@ from hypothesis import given
 
 from hhresidue import enumeration
 from hhresidue.catalog import complete, path
-from hhresidue.enumeration import _child_invariants, _min_degree_patterns, enumerate_graphs
+from hhresidue.enumeration import (
+    _child_invariants,
+    _match,
+    _min_degree_patterns,
+    enumerate_graphs,
+    vertex_invariants,
+)
 from hhresidue.graph6 import emit_graph6
-from hhresidue.graphs import Graph, _match, is_isomorphic, iter_bits, vertex_invariants
+from hhresidue.graphs import Graph, iter_bits
 
-from oracles import induced_subgraph, isomorphism_class_count_labeled, to_networkx
+from oracles import induced_subgraph, is_isomorphic, isomorphism_class_count_labeled, to_networkx
 from strategies import cycle, degree_term_lists, graphs, graphs_up_to
 
 

@@ -13,15 +13,13 @@ from hhresidue.catalog import (
     k23_plus,
     path,
 )
-from hhresidue.enumeration import enumerate_graphs
+from hhresidue.enumeration import enumerate_graphs, vertex_invariants
 from hhresidue.graphs import (
     SCALE_MAX_N,
     Graph,
     complement,
     disjoint_union,
-    is_isomorphic,
     iter_bits,
-    vertex_invariants,
 )
 from hhresidue.independence import (
     common_mis_mask,
@@ -31,7 +29,7 @@ from hhresidue.independence import (
 )
 from hhresidue.recognition import is_strong_havel_hakimi_definitional
 
-from oracles import induced_subgraph
+from oracles import induced_subgraph, is_isomorphic
 from strategies import cycle, graphs, graphs_with_permutation, relabel
 
 

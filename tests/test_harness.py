@@ -4,9 +4,11 @@ acceptance suite)."""
 import itertools
 import json
 
+import pytest
+
 from hhresidue import harness, recognition
-from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, pan4, path
-from hhresidue.graphs import is_isomorphic, iter_bits
+from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, complete_bipartite, pan4, path
+from hhresidue.graphs import iter_bits
 from hhresidue.harness import (
     THEOREM_CHECKS,
     on_c4_or_p5_center,
@@ -15,7 +17,7 @@ from hhresidue.harness import (
 )
 from hhresidue.recognition import definitional_violation
 
-from oracles import induced_subgraph
+from oracles import induced_subgraph, is_isomorphic
 from strategies import cycle, graphs_up_to
 
 
@@ -30,6 +32,64 @@ def test_minimal_forbidden_up_to_5():
 def test_verify_minimal_forbidden_small():
     report = verify("minimal-forbidden", 6)
     assert report.passed
+
+
+@pytest.fixture
+def catalog_swap(monkeypatch):
+    """Run minimal-forbidden at n <= 6 with a given catalog in place of the
+    nine: fresh records and a fresh copy table for each call, and the real
+    table rebuilt on next use after the test."""
+
+    def run(catalog):
+        recognition._copy_tables.cache_clear()
+        monkeypatch.setattr(recognition, "FORBIDDEN_SUBGRAPHS", catalog)
+        monkeypatch.setattr(harness, "FORBIDDEN_SUBGRAPHS", catalog)
+        monkeypatch.setattr(harness, "_records", {})
+        return [(v.graph6, v.message) for v in verify("minimal-forbidden", 6).violations]
+
+    yield run
+    recognition._copy_tables.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        (lambda c: c.pop("stool"), [("E{CO", "minimal forbidden graph not in the catalog")]),
+        (
+            lambda c: c.update({"co-domino": path(6)}),
+            [
+                ("E{SW", "minimal forbidden graph not in the catalog"),
+                ("EhCG", "catalog graph co-domino not found by the sweep"),
+                ("EhCG", "catalog graph co-domino minus vertex 5 still fails the oracle"),
+            ],
+        ),
+        # the copy table names each labelled copy after the first entry it copies
+        (
+            lambda c: c.update({"P5 again": c["P5"]}),
+            [("DhC", "catalog graph P5 again not found by the sweep")],
+        ),
+        # a class is named only by a witness on all its vertices, so the
+        # in-class claw hides the three members that contain it
+        (
+            lambda c: c.update({"claw": complete_bipartite(1, 3)}),
+            [
+                ("Dr_", "minimal forbidden graph not in the catalog"),
+                ("DrW", "minimal forbidden graph not in the catalog"),
+                ("E{CO", "minimal forbidden graph not in the catalog"),
+                ("Dl_", "catalog graph 4-pan not found by the sweep"),
+                ("D]o", "catalog graph K_{2,3} not found by the sweep"),
+                ("E{CO", "catalog graph stool not found by the sweep"),
+                ("Cs", "catalog graph claw not found by the sweep"),
+                ("Cs", "catalog graph claw passes the definitional oracle"),
+            ],
+        ),
+    ],
+    ids=["stool-dropped", "co-domino-as-P6", "P5-twice", "claw-added"],
+)
+def test_minimal_forbidden_fails_on_a_wrong_catalog(catalog_swap, change, expected):
+    catalog = dict(FORBIDDEN_SUBGRAPHS)
+    change(catalog)
+    assert catalog_swap(catalog) == expected
 
 
 def test_all_checks_pass_at_n5():

@@ -18,7 +18,7 @@ from hhresidue.catalog import (
     two_p3,
 )
 from hhresidue.degseq import hh_step
-from hhresidue.graphs import Graph, disjoint_union, is_isomorphic, iter_bits
+from hhresidue.graphs import Graph, disjoint_union, iter_bits
 from hhresidue.recognition import (
     definitional_violation,
     is_matrogenic_config_free,
@@ -27,7 +27,7 @@ from hhresidue.recognition import (
     strong_hh_witness,
 )
 
-from oracles import has_hh_property, induced_subgraph, to_networkx
+from oracles import has_hh_property, induced_subgraph, is_isomorphic, to_networkx
 from strategies import cycle, graphs, graphs_up_to, relabel
 
 
