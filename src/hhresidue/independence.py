@@ -10,6 +10,11 @@ higher vertex at a time, which also gives the vertices common to every
 maximum independent set. Maxine can be run with a fixed
 tie-breaking strategy or branched over every choice of maximum-degree
 vertex, collecting the full set of achievable independent-set sizes.
+The branching skips what it can predict exactly: at maximum degree 1
+the residual graph is a matching plus isolated vertices, so every run
+ends at one size, and of tied candidates that are twins (the same open
+or the same closed neighbourhood) only one is deleted, since swapping
+twins is an automorphism of the residual graph.
 """
 
 from __future__ import annotations
@@ -181,7 +186,17 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
     choice of maximum-degree vertex at every step, in ascending order.
     Each residual vertex set determines the rest of any run, so it is
     explored once, memoised as a mask with bit s set for each size s it
-    can reach."""
+    can reach.
+
+    Two rules skip branches whose sizes are known. At maximum degree 1
+    the residual graph is a matching plus isolated vertices, and every
+    run deletes one end of each edge, so it ends at the residual size
+    minus half the candidates. Among the candidates, only one per twin
+    class is explored: twins have the same open neighbourhood within the
+    residual set, or the same closed one. Swapping two twins is an
+    automorphism of the residual graph, so deleting either reaches the
+    same sizes. No open neighbourhood equals another vertex's closed one,
+    so one set holds both kinds of key."""
     check_order("maxine branching", g.n)
     adj = g.adj
     memo: dict[int, int] = {}
@@ -193,10 +208,19 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
         dmax, cands = _max_degree_candidates(adj, mask)
         if dmax <= 0:
             sizes = 1 << mask.bit_count()
+        elif dmax == 1:
+            sizes = 1 << (mask.bit_count() - len(cands) // 2)
         else:
             sizes = 0
+            seen: set[int] = set()
             for v in cands:
-                sizes |= explore(mask ^ (1 << v))
+                bit = 1 << v
+                nbrs = adj[v] & mask
+                if nbrs in seen or nbrs | bit in seen:
+                    continue  # a twin of a vertex already explored
+                seen.add(nbrs)
+                seen.add(nbrs | bit)
+                sizes |= explore(mask ^ bit)
         memo[mask] = sizes
         return sizes
 

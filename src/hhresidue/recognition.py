@@ -10,15 +10,19 @@ violating subset, and a scan for the nine minimal forbidden induced
 subgraphs. Per subset, the sweep sorts the vertices into one bitmask per
 induced degree; a maximum-degree vertex fails when one of its
 non-neighbors lies in a level above the lowest level that meets its
-neighborhood. The tests check that against the property tested vertex
-by vertex, a route kept in tests/oracles.py. The module also gives two
+neighborhood. Subsets of at most four vertices are skipped, since no
+graph on at most four vertices fails (the proof is in
+definitional_violation), and answers are kept per adjacency tuple. The
+tests check the sweep against the property tested vertex by vertex, a
+route kept in tests/oracles.py. The module also gives two
 plain boolean tests: the absence of the five-vertex configuration that
 characterizes matrogenic graphs, and threshold recognition by peeling
 isolated and dominating vertices.
 
 The forbidden-subgraph scan reads one table, built once per process on
-first use: every labelled copy of every catalog graph, each coded with
-one bit per position pair and mapped to the graph's catalog name,
+first use from the graphs' edge lists: every labelled copy of every
+catalog graph, each coded with one bit per position pair and mapped to
+the graph's catalog name,
 together with the set of codes of each copy's first m positions. The
 scan, _first_copy, grows vertex subsets one vertex at a time in
 lexicographic order and drops a prefix as soon as its code begins no
@@ -48,25 +52,35 @@ def definitional_violation(g: Graph) -> int | None:
     The masks below 2^(n-1) are the subsets of g's prefix, its induced
     subgraph on vertices 0..n-2 with the same labels. So the answer is the
     prefix's answer when that is not None, and otherwise the first failing
-    mask that contains vertex n-1. Answers are kept per labelled graph for
-    the life of the process, so a graph asked after its prefix sweeps at
-    most the masks through its top vertex."""
+    mask that contains vertex n-1. Answers are kept per adjacency tuple
+    for the life of the process, so a graph asked after its prefix sweeps
+    at most the masks through its top vertex.
+
+    Masks of at most four vertices are skipped, since no graph on at most
+    four vertices fails. Suppose a maximum-degree vertex v had a neighbour
+    u and a non-neighbour w != v with deg w > deg u >= 1. Then w has at
+    least two neighbours outside {v, w}, so there are exactly four
+    vertices and w ~ u. Since u ~ v and u ~ w, deg u >= 2 = deg w, a
+    contradiction."""
     check_order("definitional", g.n)
-    return _first_violation(g)
+    return _first_violation(g.adj)
 
 
 @functools.cache
-def _first_violation(g: Graph) -> int | None:
-    """definitional_violation without the order check, by the prefix rule."""
-    n, adj = g.n, g.adj
+def _first_violation(adj: tuple[int, ...]) -> int | None:
+    """definitional_violation of the graph on len(adj) vertices with these
+    neighbourhoods, without the order check, by the prefix rule."""
+    n = len(adj)
     if n == 0:
         return None
     low = (1 << (n - 1)) - 1
-    first = _first_violation(Graph._from_adj(n - 1, tuple(a & low for a in adj[:-1])))
+    first = _first_violation(tuple(a & low for a in adj[:-1]))
     if first is not None:
         return first
     for mask in range(1 << (n - 1), 1 << n):
         verts = iter_bits(mask)
+        if len(verts) < 5:
+            continue  # no graph on at most four vertices fails
         # levels[d]: the vertices of induced degree d
         levels = [0] * len(verts)
         dmax = 0
@@ -109,31 +123,29 @@ class ForbiddenWitness:
     vertices: tuple[int, ...]
 
 
-def _copy_code(h: Graph, perm: tuple[int, ...]) -> int:
-    """Code of the labelled copy of h whose position p holds vertex
-    perm[p]: the bit of position pair i < j is j*(j-1)//2 + i, so the code
-    of the first m positions is the code's low m*(m-1)//2 bits."""
-    code = 0
-    for j in range(1, len(perm)):
-        a = h.adj[perm[j]]
-        for i in range(j):
-            if a >> perm[i] & 1:
-                code |= 1 << (j * (j - 1) // 2 + i)
-    return code
-
-
 @functools.cache
 def _copy_tables() -> tuple:
     """Per order k of the catalog, ascending: (k, prefixes, full). full
     maps the code of every labelled copy of a k-vertex forbidden graph to
     the catalog name of the first graph it copies; prefixes[m] (m < k)
-    holds the codes of the copies' first m positions. Built on first use,
-    k! codes per graph."""
+    holds the codes of the copies' first m positions. A copy puts vertex
+    v of the graph at position pos[v], for a permutation pos, and its code
+    has the bit j*(j-1)//2 + i of each position pair i < j that holds an
+    edge, so the code of the first m positions is the code's low
+    m*(m-1)//2 bits. Built on first use, from the edge list: k! codes per
+    graph."""
+    k_max = max(h.n for h in FORBIDDEN_SUBGRAPHS.values())
+    pair_bit = [[0] * k_max for _ in range(k_max)]
+    for j in range(k_max):
+        for i in range(j):
+            pair_bit[i][j] = pair_bit[j][i] = 1 << (j * (j - 1) // 2 + i)
     by_order: dict[int, dict[int, str]] = {}
     for name, h in FORBIDDEN_SUBGRAPHS.items():
         full = by_order.setdefault(h.n, {})
-        for perm in itertools.permutations(range(h.n)):
-            full.setdefault(_copy_code(h, perm), name)
+        edges = h.edges()
+        for pos in itertools.permutations(range(h.n)):
+            # distinct edges set distinct bits, so the sum is their OR
+            full.setdefault(sum([pair_bit[pos[u]][pos[v]] for u, v in edges]), name)
     return tuple(
         (k, [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)], full)
         for k, full in sorted(by_order.items())
@@ -145,7 +157,7 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, s
     induces a copy in full, as (name, sorted vertices), or None; k >= 1.
 
     Subsets grow one vertex at a time, and the code of the chosen prefix
-    (see _copy_code) grows by the new vertex's row of adjacencies to the
+    (see _copy_tables) grows by the new vertex's row of adjacencies to the
     vertices before it. One rows list serves the whole call: rows[w] holds
     w's row, one bit per position. Choosing v at position m sets bit m in
     the rows of v's neighbours above v, and clears it again once the

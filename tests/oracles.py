@@ -1,6 +1,7 @@
 """Second routes that only the tests call: each checks an exact answer of
 the package by a different computation, so none of them ships in it."""
 
+import itertools
 from collections.abc import Iterable
 
 from hhresidue.enumeration import _match, vertex_invariants
@@ -54,6 +55,28 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph._from_adj(k, tuple(adj))
+
+
+def copy_tables_by_pairs(catalog) -> tuple:
+    """recognition._copy_tables for the given catalog, built pair by pair:
+    the copy whose position p holds vertex perm[p] sets the bit
+    j*(j-1)//2 + i of each position pair i < j with perm[i] ~ perm[j].
+    The reference for the build from edge lists."""
+    by_order: dict[int, dict[int, str]] = {}
+    for name, h in catalog.items():
+        full = by_order.setdefault(h.n, {})
+        for perm in itertools.permutations(range(h.n)):
+            code = 0
+            for j in range(1, h.n):
+                a = h.adj[perm[j]]
+                for i in range(j):
+                    if a >> perm[i] & 1:
+                        code |= 1 << (j * (j - 1) // 2 + i)
+            full.setdefault(code, name)
+    return tuple(
+        (k, [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)], full)
+        for k, full in sorted(by_order.items())
+    )
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from hhresidue import independence
 from hhresidue.catalog import complete, path
 from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
@@ -245,6 +246,31 @@ def test_branches_c5():
 def test_branches_match_reference_on_every_class():
     for g in graphs_up_to(6):
         assert maxine_all_branches(g) == tuple(sorted(brute_maxine_sizes(g)))
+
+
+@pytest.mark.parametrize(
+    "g, states",
+    [
+        # all vertices are twins: one state per order, K8 down to K2, where
+        # maximum degree 1 ends the run (255 states, every nonempty subset,
+        # without the rules)
+        (complete(8), 7),
+        # maximum degree 1 at the start: one state (81 without the rule)
+        (Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 1),
+    ],
+    ids=["complete-8", "perfect-matching-8"],
+)
+def test_branches_skip_twins_and_matchings(monkeypatch, g, states):
+    """The residual vertex sets explored, counted as calls to
+    _max_degree_candidates. The unmemoised reference walks all 8! deletion
+    orders of K8, about 0.2 s on a 2-vCPU host; K9 would take ten times
+    that."""
+    calls = []
+    real = independence._max_degree_candidates
+    counted = lambda adj, mask: calls.append(mask) or real(adj, mask)
+    monkeypatch.setattr(independence, "_max_degree_candidates", counted)
+    assert maxine_all_branches(g) == tuple(sorted(brute_maxine_sizes(g)))
+    assert len(calls) == states
 
 
 @given(graphs(max_n=7))

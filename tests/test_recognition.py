@@ -27,7 +27,13 @@ from hhresidue.recognition import (
     strong_hh_witness,
 )
 
-from oracles import has_hh_property, induced_subgraph, is_isomorphic, to_networkx
+from oracles import (
+    copy_tables_by_pairs,
+    has_hh_property,
+    induced_subgraph,
+    is_isomorphic,
+    to_networkx,
+)
 from strategies import cycle, graphs, graphs_up_to, relabel
 
 
@@ -115,6 +121,10 @@ def test_witness_prefers_smaller_subsets():
 
 def test_witness_is_the_lexicographically_first_copy():
     assert witness_pair(disjoint_union(path(5), path(5))) == ("P5", (0, 1, 2, 3, 4))
+
+
+def test_copy_tables_match_pair_by_pair_build():
+    assert recognition._copy_tables() == copy_tables_by_pairs(FORBIDDEN_SUBGRAPHS)
 
 
 def test_graphs_below_order_5_have_no_witness():
@@ -257,6 +267,25 @@ def test_small_graphs_all_in_class():
     for g in graphs_up_to(3):
         assert is_strong_havel_hakimi_definitional(g)
         assert strong_hh_witness(g) is None
+
+
+def test_no_graph_on_at_most_four_vertices_fails():
+    """The lemma behind the sweep's skip of masks with at most four
+    vertices, checked vertex by vertex: in each of the 76 labelled graphs
+    on at most four vertices, every maximum-degree vertex of every induced
+    subgraph has the property."""
+    checked = 0
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.product((False, True), repeat=len(pairs)):
+            g = Graph(n, [p for p, e in zip(pairs, edges) if e])
+            checked += 1
+            for mask in range(1, 1 << n):
+                sub = induced_subgraph(g, iter_bits(mask))
+                dmax = max(sub.degrees)
+                for v in range(sub.n):
+                    assert sub.degrees[v] < dmax or has_hh_property(sub, v), (g, mask, v)
+    assert checked == 76
 
 
 def minimal_forbidden_by_deletion(g):
