@@ -24,7 +24,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .degseq import ALL_ZERO, NEGATIVE_TERM, hh_reduce
+from .degseq import hh_reduce
 from .graph6 import Graph6Error, parse_graph6
 from .graphs import SCALE_MAX_N, Graph
 from .harness import THEOREM_CHECKS, GraphRecord, verify
@@ -56,7 +56,7 @@ def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = N
     rec = GraphRecord(g)
     n = g.n
     if strategy != "all-branches":
-        maxine_min = maxine_max = len(maxine_run(g, strategy=strategy, seed=seed).survivors)
+        maxine_min = maxine_max = n - len(maxine_run(g, strategy=strategy, seed=seed))
     elif n <= SCALE_MAX_N["maxine branching"]:
         maxine_min, maxine_max = rec.maxine_sizes[0], rec.maxine_sizes[-1]
     else:
@@ -101,26 +101,20 @@ def cmd_residue(args: argparse.Namespace) -> int:
         print(f"error: {args.sequence!r} is not a comma-separated list of "
               "nonnegative integers", file=sys.stderr)
         return 2
-    trace = hh_reduce(terms)
-    shown = trace.steps[:-1] if trace.outcome == NEGATIVE_TERM else trace.steps
-    lines = [f"d^{i}: {_format_step(step)}" for i, step in enumerate(shown)]
-    k = len(trace.steps) - 1
-    if trace.outcome == ALL_ZERO:
-        lines.append(f"residue: {trace.residue}")
-    elif trace.outcome == NEGATIVE_TERM:
-        lines.append(
-            f"not graphical: reducing d^{k - 1} = {_format_step(trace.steps[k - 1])} "
-            "produces a negative term"
-        )
+    steps = hh_reduce(terms)
+    last, k = steps[-1], len(steps) - 1
+    if not any(last):
+        end = f"residue: {len(last)}"
+    elif last[-1] < 0:
+        steps = steps[:-1]
+        end = f"not graphical: reducing d^{k - 1} = {_format_step(steps[-1])} produces a negative term"
     else:
-        last = trace.steps[k]
-        lines.append(
-            f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "
-            f"but only {len(last) - 1} remaining terms"
-        )
-    if not _emit(lines):
+        end = (f"not graphical: d^{k} = {_format_step(last)} has largest term {last[0]} "
+               f"but only {len(last) - 1} remaining terms")
+    lines = [f"d^{i}: {_format_step(step)}" for i, step in enumerate(steps)]
+    if not _emit([*lines, end]):
         return 2
-    return 0 if trace.outcome == ALL_ZERO else 1
+    return 1 if any(last) else 0
 
 
 def _read_tokens(path: str) -> list[str]:

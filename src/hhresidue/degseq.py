@@ -7,7 +7,7 @@ sequence is graphical when the reduction ends at a list of zeros; the
 tests check that against the Erdos-Gallai inequalities, an independent
 route kept in tests/oracles.py.
 
-:func:`hh_reduce` stores every step (O(n^2) memory) and is meant for
+:func:`hh_reduce` returns every step (O(n^2) memory) and is meant for
 printing traces. :func:`residue` and :func:`is_graphical` run the same
 reduction on a count of terms per value instead: nothing is re-sorted and
 no step is kept, so they take O(n + steps * max term) time and linear
@@ -17,11 +17,6 @@ memory, and answer exactly as the trace does.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
-
-ALL_ZERO = "all_zero"
-NEGATIVE_TERM = "negative_term"
-STEP_IMPOSSIBLE = "step_impossible"
 
 
 def _validated(terms: tuple[int, ...]) -> tuple[int, ...]:
@@ -37,72 +32,29 @@ def _normalized(seq: Iterable[int]) -> tuple[int, ...]:
     return _validated(tuple(sorted(seq, reverse=True)))
 
 
-def hh_step(seq: Iterable[int]) -> tuple[int, ...]:
-    """One reduction step: remove a largest term t, subtract 1 from the t
-    largest remaining terms, re-sort.
+def hh_reduce(seq: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The sequences d^0, d^1, ..., d^k of the reduction, each sorted
+    nonincreasing and one term shorter than the one before. A step removes
+    a largest term t and subtracts 1 from the t largest remaining terms;
+    the result multiset does not depend on how ties are broken.
 
-    Ties are broken by subtracting from the earliest positions in sorted
-    order; the result multiset does not depend on this choice. Raises if
-    the sequence is empty or t exceeds the number of remaining terms; a
-    step whose result contains a negative term is returned as-is (the
-    caller decides what a negative term means).
+    The last sequence tells how the run ended: all zeros (or empty) when
+    seq is graphical, the residue being its length; a negative last term
+    when that step went negative; anything else only when d^0 itself could
+    not be reduced, its largest term exceeding its number of other terms.
+    Raises ValueError on a negative or non-integer term of seq.
     """
-    d = _normalized(seq)
-    if not d:
-        raise ValueError("cannot reduce an empty sequence")
-    t = d[0]
-    rest = list(d[1:])
-    if t > len(rest):
-        raise ValueError(
-            f"largest term {t} exceeds the {len(rest)} remaining terms"
-        )
-    for i in range(t):
-        rest[i] -= 1
-    rest.sort(reverse=True)
-    return tuple(rest)
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Record of a full reduction run.
-
-    steps holds the sequences d^0, d^1, ..., each one term shorter than the
-    last; outcome is ALL_ZERO when the run ended at a list of zeros,
-    NEGATIVE_TERM when a step produced a negative term (that step is the
-    last entry), or STEP_IMPOSSIBLE when the largest term exceeded the
-    remaining length (the stuck sequence is the last entry).
-    """
-
-    steps: tuple[tuple[int, ...], ...]
-    outcome: str
-
-    @property
-    def is_graphical(self) -> bool:
-        return self.outcome == ALL_ZERO
-
-    @property
-    def residue(self) -> int:
-        """Number of zeros in the terminal sequence; graphical runs only."""
-        if not self.is_graphical:
-            raise ValueError("residue is defined for graphical sequences only")
-        return len(self.steps[-1])
-
-
-def hh_reduce(seq: Iterable[int]) -> ReductionTrace:
-    """Iterate :func:`hh_step` until a list of zeros, a negative term, or a
-    step that cannot be applied. Failures are encoded in the trace outcome,
-    never raised."""
-    d = _normalized(seq)
-    steps = [d]
-    while True:
-        if not d or d[0] == 0:
-            return ReductionTrace(tuple(steps), ALL_ZERO)
-        if d[0] > len(d) - 1:
-            return ReductionTrace(tuple(steps), STEP_IMPOSSIBLE)
-        d = hh_step(d)
-        steps.append(d)
-        if d and d[-1] < 0:
-            return ReductionTrace(tuple(steps), NEGATIVE_TERM)
+    d = list(_normalized(seq))
+    steps = [tuple(d)]
+    while d and 0 < d[0] < len(d):
+        t = d.pop(0)
+        for i in range(t):
+            d[i] -= 1
+        d.sort(reverse=True)
+        steps.append(tuple(d))
+        if d[-1] < 0:
+            break
+    return tuple(steps)
 
 
 def _histogram_residue(terms: tuple[int, ...]) -> int | None:
@@ -111,7 +63,7 @@ def _histogram_residue(terms: tuple[int, ...]) -> int | None:
     count[v] is the number of remaining terms equal to v. A step removes
     one largest term top and moves the top largest remaining terms down one
     level, a whole run of equal terms at a time; the result multiset is
-    that of :func:`hh_step`, whatever the tie-breaking.
+    that of a step of :func:`hh_reduce`, whatever the tie-breaking.
     """
     top = max(terms, default=0)
     if top == 0:

@@ -174,4 +174,6 @@ def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
                 mapping[v] = -1
         return False
 
-    return backtrack(0)
+    found = backtrack(0)
+    del backtrack  # the closure refers to itself: free it without the cyclic collector
+    return found

@@ -7,8 +7,9 @@ vertex of degree 0 or 1 without branching and branches on a
 maximum-degree vertex only when every vertex left has degree at least 2,
 and an exhaustive sweep over every independent set, grown depth first one
 higher vertex at a time, which also gives the vertices common to every
-maximum independent set. Maxine can be run with a fixed
-tie-breaking strategy or branched over every choice of maximum-degree
+maximum independent set. Maxine can be run once with a fixed
+tie-breaking strategy, giving its deletion order (the survivors are the
+vertices not deleted), or branched over every choice of maximum-degree
 vertex, collecting the full set of achievable independent-set sizes.
 The branching skips what it can predict exactly: at maximum degree 1
 the residual graph is a matching plus isolated vertices, so every run
@@ -20,7 +21,6 @@ twins is an automorphism of the residual graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graphs import Graph, check_order, iter_bits
 
@@ -87,6 +87,7 @@ def independence_number(g: Graph) -> int:
         explore(mask & ~(1 << vbest), size)
 
     explore((1 << n) - 1, 0)
+    del explore  # the closure refers to itself: free it without the cyclic collector
     return best
 
 
@@ -126,17 +127,8 @@ def _subset_sweep(g: Graph) -> tuple[int, int]:
             extend(chosen | bit, size, cand & ~adj[v] & -(bit << 1))
 
     extend(0, 0, (1 << g.n) - 1)
+    del extend  # as in independence_number
     return best, common
-
-
-@dataclass(frozen=True)
-class MaxineOutcome:
-    """One Maxine run: the deletion order and the surviving independent
-    set. Each deleted vertex had maximum degree at its deletion time, and
-    the graph then still had at least one edge."""
-
-    deletions: tuple[int, ...]
-    survivors: tuple[int, ...]
 
 
 def _max_degree_candidates(adj: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
@@ -152,9 +144,10 @@ def _max_degree_candidates(adj: tuple[int, ...], mask: int) -> tuple[int, list[i
     return dmax, cands
 
 
-def maxine_run(g: Graph, strategy: str = "first", seed: int | None = None) -> MaxineOutcome:
-    """Delete a maximum-degree vertex while any edge remains; survivors
-    form an independent set.
+def maxine_run(g: Graph, strategy: str = "first", seed: int | None = None) -> tuple[int, ...]:
+    """The deletion order of one Maxine run: while any edge remains,
+    delete a vertex of maximum degree. The vertices not deleted form an
+    independent set, of size g.n minus the number of deletions.
 
     strategy picks among tied maximum-degree vertices: "first" or "last"
     take the lowest/highest original label, "random" draws from a
@@ -178,7 +171,7 @@ def maxine_run(g: Graph, strategy: str = "first", seed: int | None = None) -> Ma
             v = rng.choice(cands)
         deletions.append(v)
         mask ^= 1 << v
-    return MaxineOutcome(tuple(deletions), iter_bits(mask))
+    return tuple(deletions)
 
 
 def maxine_all_branches(g: Graph) -> tuple[int, ...]:
@@ -224,4 +217,6 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
         memo[mask] = sizes
         return sizes
 
-    return iter_bits(explore((1 << g.n) - 1))
+    sizes = explore((1 << g.n) - 1)
+    del explore  # as in independence_number
+    return iter_bits(sizes)

@@ -195,7 +195,9 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, s
                     return hit
         return None
 
-    return extend(0, 0, 0)
+    hit = extend(0, 0, 0)
+    del extend  # the closure refers to itself: free it without the cyclic collector
+    return hit
 
 
 def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:

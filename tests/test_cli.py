@@ -50,19 +50,37 @@ def test_residue_all_zero_input(capsys):
 
 
 def test_residue_non_graphical_names_failing_step(capsys):
-    code, out, _ = run(capsys, "residue", "3,3,1,1")
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == "d^0: (3, 3, 1, 1)"
-    assert lines[1] == "d^1: (2, 0, 0)"
-    assert "not graphical" in lines[-1]
-    assert "d^1 = (2, 0, 0)" in lines[-1]
+    cases = {
+        "3,3,1,1": [
+            "d^0: (3, 3, 1, 1)",
+            "d^1: (2, 0, 0)",
+            "not graphical: reducing d^1 = (2, 0, 0) produces a negative term",
+        ],
+        # the failing step ends at (1, -1): its first term is not negative
+        "3,3,3,1": [
+            "d^0: (3, 3, 3, 1)",
+            "d^1: (2, 2, 0)",
+            "not graphical: reducing d^1 = (2, 2, 0) produces a negative term",
+        ],
+        # the failing step ends at (0, -1), which starts with a zero
+        "2,1,0": [
+            "d^0: (2, 1, 0)",
+            "not graphical: reducing d^0 = (2, 1, 0) produces a negative term",
+        ],
+    }
+    for sequence, lines in cases.items():
+        code, out, _ = run(capsys, "residue", sequence)
+        assert code == 1, sequence
+        assert out == "".join(line + "\n" for line in lines)
 
 
 def test_residue_step_impossible(capsys):
     code, out, _ = run(capsys, "residue", "3,1")
     assert code == 1
-    assert "largest term 3" in out
+    assert out == (
+        "d^0: (3, 1)\n"
+        "not graphical: d^0 = (3, 1) has largest term 3 but only 1 remaining terms\n"
+    )
 
 
 def test_residue_usage_errors(capsys):
@@ -437,12 +455,15 @@ def bench_corpus_g6(seed):
     return "".join(r["g6"] + "\n" for r in inputs.analyze_corpus(seed))
 
 
-# sha256 of stdout for three fixed runs: a kernel change that alters any
+# sha256 of stdout for fixed runs: a kernel change that alters any
 # reported byte fails here. Change a digest only with an intended change
 # of output, and say so where the change is recorded.
 PINNED_STDOUT_SHA256 = {
     "analyze-json-seed-0": "e51921419468ea098047344b269515a79d8c4d6a33bcd69525470ab3e91be680",
     "analyze-csv-seed-0": "de8d47a86a222f273531f30faafd53cfbefe6a5775c4d059b6a8092f6d14590a",
+    "analyze-json-seed-0-first": "277d492c4760838d044038d4aa09b2f8c62b4e9cd8c8567a373b4f1ae9345c7a",
+    "analyze-json-seed-0-last": "65a412f84607a807a2bb0ef25b29b3b0dd2e53168f91a576c56203090d0db567",
+    "analyze-json-seed-0-random-3": "51605651f161813c3b41450053ab4f3f4ef7c96b71511a2d12239c9ba345913c",
     "verify-all-max-n-7": "f7d42e2325680d295c72f501ae13a04b8537831d9ddcdd2462d850c68408e69e",
 }
 
@@ -453,6 +474,11 @@ def test_outputs_match_pinned_digests(tmp_path):
     runs = {
         "analyze-json-seed-0": ("analyze", "--input", str(corpus), "--format", "json"),
         "analyze-csv-seed-0": ("analyze", "--input", str(corpus), "--format", "csv"),
+        "analyze-json-seed-0-first": ("analyze", "--input", str(corpus), "--strategy", "first"),
+        "analyze-json-seed-0-last": ("analyze", "--input", str(corpus), "--strategy", "last"),
+        "analyze-json-seed-0-random-3": (
+            "analyze", "--input", str(corpus), "--strategy", "random", "--seed", "3",
+        ),
         "verify-all-max-n-7": ("verify", "all", "--max-n", "7"),
     }
     for key, argv in runs.items():

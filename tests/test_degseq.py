@@ -8,15 +8,7 @@ from hypothesis import given
 
 import hhresidue.degseq
 from hhresidue.catalog import complete
-from hhresidue.degseq import (
-    ALL_ZERO,
-    NEGATIVE_TERM,
-    STEP_IMPOSSIBLE,
-    hh_reduce,
-    hh_step,
-    is_graphical,
-    residue,
-)
+from hhresidue.degseq import hh_reduce, is_graphical, residue
 from hhresidue.graphs import Graph
 from hhresidue.harness import GraphRecord
 
@@ -73,95 +65,79 @@ def long_sequences(seed):
     return out
 
 
-# --- hh_step -----------------------------------------------------------------
-
-
-def test_step_worked_values():
-    assert hh_step((3, 2, 2, 2, 2, 1)) == (2, 1, 1, 1, 1)
-    assert hh_step((2, 1, 1, 1, 1)) == (1, 1, 0, 0)
-
-
-def test_step_on_zeros():
-    assert hh_step((0, 0, 0)) == (0, 0)
-
-
-def test_step_sorts_input():
-    assert hh_step((1, 2, 3, 2, 2, 2)) == (2, 1, 1, 1, 1)
-
-
-def test_step_rejects_empty_and_oversized_term():
-    with pytest.raises(ValueError):
-        hh_step(())
-    with pytest.raises(ValueError):
-        hh_step((3, 1))
-    with pytest.raises(ValueError):
-        hh_step((1,))
-
-
-def test_step_rejects_negative_or_nonint():
-    with pytest.raises(ValueError):
-        hh_step((2, -1, 1))
-    with pytest.raises(ValueError):
-        hh_step((2.0, 1, 1))
-
-
-@given(degree_term_lists(max_len=8, max_term=7))
-def test_step_multiset_invariant_under_tie_breaking(terms):
-    d = sorted(terms, reverse=True)
-    if not d or d[0] > len(d) - 1:
-        return
-    ours = hh_step(d)
-    alt = step_subtracting_last_ties(d)
-    assert sorted(ours) == sorted(alt)
-
-
 # --- hh_reduce ---------------------------------------------------------------
 
 
+def test_step_worked_values():
+    assert hh_reduce((3, 2, 2, 2, 2, 1))[1] == (2, 1, 1, 1, 1)
+    assert hh_reduce((2, 1, 1, 1, 1))[1] == (1, 1, 0, 0)
+
+
+def test_step_sorts_input():
+    assert hh_reduce((1, 2, 3, 2, 2, 2))[:2] == ((3, 2, 2, 2, 2, 1), (2, 1, 1, 1, 1))
+
+
+def test_reduce_rejects_negative_nonint_or_bool():
+    for terms in ((2, -1, 1), (2.0, 1, 1), (True, 1)):
+        with pytest.raises(ValueError):
+            hh_reduce(terms)
+
+
+@given(degree_term_lists(max_len=8, max_term=20))
+def test_step_multiset_invariant_under_tie_breaking(terms):
+    """Every step of the trace matches a step that breaks ties at the last
+    positions, and the last sequence shows one of the three endings. Terms
+    above n - 1 are drawn too, so every ending occurs."""
+    steps = hh_reduce(terms)
+    assert steps[0] == tuple(sorted(terms, reverse=True))
+    for a, b in zip(steps, steps[1:]):
+        assert b == step_subtracting_last_ties(a)
+    last = steps[-1]
+    graphical = is_graphical_erdos_gallai(terms)
+    if not any(last):
+        assert graphical
+    elif last[-1] < 0:
+        assert not graphical and len(steps) > 1 and min(steps[-2]) >= 0
+    else:
+        assert not graphical and steps == (last,) and last[0] > len(last) - 1
+    # no step before the last one ends the run
+    assert all(0 < d[0] < len(d) and d[-1] >= 0 for d in steps[:-1])
+
+
 def test_reduce_worked_example_trace():
-    trace = hh_reduce((3, 2, 2, 2, 2, 1))
-    assert trace.steps == (
+    assert hh_reduce((3, 2, 2, 2, 2, 1)) == (
         (3, 2, 2, 2, 2, 1),
         (2, 1, 1, 1, 1),
         (1, 1, 0, 0),
         (0, 0, 0),
     )
-    assert trace.outcome == ALL_ZERO
-    assert trace.residue == 3
 
 
 def test_reduce_already_zero():
-    trace = hh_reduce((0, 0, 0, 0))
-    assert trace.steps == ((0, 0, 0, 0),)
-    assert trace.outcome == ALL_ZERO
-    assert trace.residue == 4
+    assert hh_reduce((0, 0, 0, 0)) == ((0, 0, 0, 0),)
+    assert hh_reduce((0, 0, 0)) == ((0, 0, 0),)
 
 
 def test_reduce_negative_term():
-    trace = hh_reduce((3, 3, 1, 1))
-    assert trace.outcome == NEGATIVE_TERM
-    assert trace.steps[:2] == ((3, 3, 1, 1), (2, 0, 0))
-    assert min(trace.steps[-1]) < 0
-    assert not trace.is_graphical
-    with pytest.raises(ValueError):
-        trace.residue
+    steps = hh_reduce((3, 3, 1, 1))
+    assert steps == ((3, 3, 1, 1), (2, 0, 0), (-1, -1))
+    # a step can go negative with a first term that is not
+    assert hh_reduce((3, 3, 3, 1))[-1] == (1, -1)
+    assert hh_reduce((2, 1, 0))[-1] == (0, -1)
 
 
 def test_reduce_step_impossible():
-    trace = hh_reduce((3, 1))
-    assert trace.outcome == STEP_IMPOSSIBLE
-    assert trace.steps == ((3, 1),)
+    for stuck in ((3, 1), (1,), (4, 1, 1, 1)):
+        assert hh_reduce(stuck) == (stuck,)
 
 
 def test_reduce_empty_sequence():
-    trace = hh_reduce(())
-    assert trace.outcome == ALL_ZERO
-    assert trace.residue == 0
+    assert hh_reduce(()) == ((),)
 
 
 def test_reduce_steps_shrink_by_one():
-    trace = hh_reduce((4, 3, 3, 2, 2, 2))
-    for a, b in zip(trace.steps, trace.steps[1:]):
+    steps = hh_reduce((4, 3, 3, 2, 2, 2))
+    for a, b in zip(steps, steps[1:]):
         assert len(b) == len(a) - 1
 
 
@@ -198,7 +174,7 @@ def test_oracles_agree_exhaustively_full_range():
             graphical = is_graphical(d)
             assert graphical == is_graphical_erdos_gallai(d), d
             if graphical:
-                assert residue(d) == hh_reduce(d).residue, d
+                assert residue(d) == len(hh_reduce(d)[-1]), d
 
 
 @given(degree_term_lists())
@@ -238,15 +214,16 @@ def test_residue_bounds_for_graphs(g):
 
 @given(degree_term_lists(max_term=20))
 def test_histogram_reduction_matches_trace(terms):
-    # terms above n - 1 are drawn too, so every outcome of the trace occurs
-    trace = hh_reduce(terms)
-    assert is_graphical(terms) == trace.is_graphical
-    if trace.is_graphical:
-        assert residue(terms) == trace.residue
+    # terms above n - 1 are drawn too, so every ending of the trace occurs
+    steps = hh_reduce(terms)
+    graphical = not any(steps[-1])
+    assert is_graphical(terms) == graphical
+    if graphical:
+        assert residue(terms) == len(steps[-1])
     else:
         with pytest.raises(ValueError) as err:
             residue(terms)
-        assert str(err.value) == f"sequence {trace.steps[0]} is not graphical"
+        assert str(err.value) == f"sequence {steps[0]} is not graphical"
 
 
 def test_huge_term_is_rejected_without_sizing_by_it():
@@ -257,15 +234,14 @@ def test_huge_term_is_rejected_without_sizing_by_it():
 
 def test_residue_never_runs_the_trace(monkeypatch):
     """residue, is_graphical and the record's residue answer on a
-    1,500-term sequence with hh_step and hh_reduce disabled."""
+    1,500-term sequence with hh_reduce disabled."""
     g = random_graph(random.Random(1500), 1500, 8)
     d = g.degree_sequence()
-    want = hh_reduce(d).residue
+    want = len(hh_reduce(d)[-1])
 
     def disabled(*args):
         raise AssertionError("the trace was run")
 
-    monkeypatch.setattr(hhresidue.degseq, "hh_step", disabled)
     monkeypatch.setattr(hhresidue.degseq, "hh_reduce", disabled)
     assert is_graphical(d)
     assert residue(d) == want

@@ -33,14 +33,16 @@ def brute_alpha(g):
     return best
 
 
-def replay_is_valid_maxine(g, outcome):
+def replay_is_valid_maxine(g, deletions):
+    """True iff each deleted vertex had maximum degree when deleted, while
+    an edge remained, and no edge remains among the survivors."""
     mask = (1 << g.n) - 1
-    for v in outcome.deletions:
+    for v in deletions:
         degs = {u: (g.adj[u] & mask).bit_count() for u in iter_bits(mask)}
         if max(degs.values()) == 0 or degs[v] != max(degs.values()):
             return False
         mask ^= 1 << v
-    return tuple(iter_bits(mask)) == outcome.survivors
+    return all(g.adj[u] & mask == 0 for u in iter_bits(mask))
 
 
 def brute_maxine_sizes(g, alive=None):
@@ -191,20 +193,18 @@ def test_exhaustive_routes_match_combinations(g):
 
 
 def test_maxine_k2():
-    assert len(maxine_run(complete(2)).survivors) == 1
+    assert len(maxine_run(complete(2))) == 1
 
 
 def test_maxine_c4_all_strategies():
     for strategy in ("first", "last"):
-        assert len(maxine_run(cycle(4), strategy).survivors) == 2
+        assert len(maxine_run(cycle(4), strategy)) == 2
     for seed in range(5):
-        assert len(maxine_run(cycle(4), "random", seed=seed).survivors) == 2
+        assert len(maxine_run(cycle(4), "random", seed=seed)) == 2
 
 
 def test_maxine_p5_first_strategy():
-    out = maxine_run(path(5), "first")
-    assert out.deletions == (1, 3)
-    assert out.survivors == (0, 2, 4)
+    assert maxine_run(path(5), "first") == (1, 3)
 
 
 def test_maxine_random_is_seeded():
@@ -219,12 +219,9 @@ def test_maxine_rejects_unknown_strategy():
 
 @given(graphs(), st.sampled_from(["first", "last", "random"]), st.integers(0, 99))
 def test_maxine_outcomes_are_valid(g, strategy, seed):
-    out = maxine_run(g, strategy, seed=seed)
-    survivors = set(out.survivors)
-    assert all(
-        not g.adj[u] >> v & 1 for u in survivors for v in survivors if u < v
-    )
-    assert replay_is_valid_maxine(g, out)
+    deletions = maxine_run(g, strategy, seed=seed)
+    assert len(set(deletions)) == len(deletions)
+    assert replay_is_valid_maxine(g, deletions)
 
 
 # --- Maxine, all branches ---------------------------------------------------
@@ -302,5 +299,4 @@ def test_branch_sizes_between_residue_and_alpha(g):
 
 @given(graphs(max_n=6), st.sampled_from(["first", "last", "random"]))
 def test_single_runs_land_in_achievable_sizes(g, strategy):
-    out = maxine_run(g, strategy, seed=3)
-    assert len(out.survivors) in maxine_all_branches(g)
+    assert g.n - len(maxine_run(g, strategy, seed=3)) in maxine_all_branches(g)

@@ -2,14 +2,18 @@
 no public name that only the tests reach."""
 
 import ast
+import gc
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hhresidue
-from hhresidue import graphs, independence, recognition
+from hhresidue import enumeration, graphs, independence, recognition
+from hhresidue.catalog import stool
 
 
 def test_top_level_names_are_the_module_objects():
@@ -60,6 +64,39 @@ def test_copy_table_is_built_on_first_use_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
+
+
+STOOL = stool()
+STOOL_INV = enumeration.vertex_invariants(STOOL)
+
+
+# each call runs one recursive inner function: _first_copy's extend,
+# independence_number's explore, _subset_sweep's extend,
+# maxine_all_branches's explore and _match's backtrack
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: recognition.strong_hh_witness(STOOL),
+        lambda: independence.independence_number(STOOL),
+        lambda: independence.independence_number_bitmask(STOOL),
+        lambda: independence.maxine_all_branches(STOOL),
+        lambda: enumeration._match(STOOL, STOOL_INV, STOOL, STOOL_INV),
+    ],
+    ids=["first-copy", "alpha", "subset-sweep", "maxine-branches", "match"],
+)
+def test_recursive_searches_leave_no_cyclic_garbage(call):
+    """A recursive inner function refers to itself through its closure;
+    unless the search drops that reference when it returns, each call
+    leaves a cycle that only the cyclic collector frees."""
+    call()  # builds the copy table on first use
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 ROOT = Path(__file__).resolve().parent.parent
