@@ -77,6 +77,25 @@ def test_step_sorts_input():
     assert hh_reduce((1, 2, 3, 2, 2, 2))[:2] == ((3, 2, 2, 2, 2, 1), (2, 1, 1, 1, 1))
 
 
+def test_step_on_zeros():
+    """A step leaves zero terms as they are, and no step is taken once
+    every term is zero."""
+    assert hh_reduce((1, 1, 0, 0)) == ((1, 1, 0, 0), (0, 0, 0))
+    assert hh_reduce((2, 1, 1, 0, 0)) == ((2, 1, 1, 0, 0), (0, 0, 0, 0))
+    assert hh_reduce((0, 0, 0)) == ((0, 0, 0),)
+
+
+def test_step_rejects_empty_and_oversized_term():
+    """No step is taken on an empty sequence or on one whose largest term
+    exceeds its number of other terms; the oversized ones are not graphical."""
+    assert hh_reduce(()) == ((),)
+    for stuck in ((3, 1), (1,)):
+        assert hh_reduce(stuck) == (stuck,)
+        assert not is_graphical(stuck)
+        with pytest.raises(ValueError):
+            residue(stuck)
+
+
 def test_reduce_rejects_negative_nonint_or_bool():
     for terms in ((2, -1, 1), (2.0, 1, 1), (True, 1)):
         with pytest.raises(ValueError):
