@@ -74,7 +74,7 @@ def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = N
         "in_s": w is None if scans else SKIPPED,
         "matrogenic_config_free": rec.config_free if scans else SKIPPED,
         "threshold": rec.threshold if scans else SKIPPED,
-        "witness": (f"{w.name}:{','.join(map(str, w.vertices))}" if w else None) if scans else SKIPPED,
+        "witness": (f"{w[0]}:{','.join(map(str, w[1]))}" if w else None) if scans else SKIPPED,
     }
 
 
@@ -185,10 +185,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = [r.to_dict() for r in reports] if args.theorem == "all" else reports[0].to_dict()
+    payload = reports if args.theorem == "all" else reports[0]
     if not _emit([json.dumps(payload, indent=2)], args.out):
         return 2
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(r["passed"] for r in reports) else 1
 
 
 def _emit(lines: Iterable[str], out_path: str | None = None) -> bool:

@@ -15,9 +15,10 @@ smaller graphs, by the prefix rule of
 the forbidden list, so "forb-equivalence" compares two independent routes.
 
 Each check is a predicate over the records of every class of order
-1..n_max (any n_max within the enumeration's scale bound) and reports
-violations as graph6 strings with messages, so a failure is reproducible
-from the report alone. The facts checked:
+1..n_max (any n_max within the enumeration's scale bound). Its report is
+the plain dict that ``verify`` prints as JSON; it lists violations as
+graph6 strings with messages, so a failure is reproducible from the
+report alone. The facts checked:
 
 - the definitional strong Havel-Hakimi oracle agrees with the
   forbidden-subgraph scan ("forb-equivalence");
@@ -38,7 +39,6 @@ from the report alone. The facts checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Any, Callable
 
@@ -49,7 +49,6 @@ from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits
 from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
-    ForbiddenWitness,
     definitional_violation,
     is_matrogenic_config_free,
     is_threshold,
@@ -82,7 +81,7 @@ class GraphRecord:
         return maxine_all_branches(self.graph)
 
     @cached_property
-    def witness(self) -> ForbiddenWitness | None:
+    def witness(self) -> tuple[str, tuple[int, ...]] | None:
         return strong_hh_witness(self.graph)
 
     @cached_property
@@ -125,41 +124,13 @@ def records_up_to(n_max: int) -> list[GraphRecord]:
     return [rec for n in range(1, n_max + 1) for rec in _records[n]]
 
 
-@dataclass(frozen=True)
-class Violation:
-    graph6: str
-    message: str
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem_id: str
-    n_max: int
-    graphs_checked: int
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "theorem_id": self.theorem_id,
-            "n_max": self.n_max,
-            "graphs_checked": self.graphs_checked,
-            "passed": self.passed,
-            "violations": [
-                {"graph6": v.graph6, "message": v.message} for v in self.violations
-            ],
-        }
-
-
 def _sweep(
     check_id: str, n_max: int, predicate: Callable[[GraphRecord], list[str] | None]
-) -> TheoremReport:
-    """Apply predicate to the record of every class of order <= n_max. It
-    returns the graph's violation messages, or None to leave the graph
-    out of the count."""
+) -> dict[str, Any]:
+    """Apply predicate to the record of every class of order <= n_max and
+    return the report dict that verify prints. The predicate returns the
+    graph's violation messages, or None to leave the graph out of the
+    count."""
     violations = []
     checked = 0
     for rec in records_up_to(n_max):
@@ -167,8 +138,14 @@ def _sweep(
         if messages is None:
             continue
         checked += 1
-        violations += [Violation(rec.graph6, m) for m in messages]
-    return TheoremReport(check_id, n_max, checked, tuple(violations))
+        violations += [{"graph6": rec.graph6, "message": m} for m in messages]
+    return {
+        "theorem_id": check_id,
+        "n_max": n_max,
+        "graphs_checked": checked,
+        "passed": not violations,
+        "violations": violations,
+    }
 
 
 def _forb_equivalence(rec: GraphRecord) -> list[str]:
@@ -177,11 +154,11 @@ def _forb_equivalence(rec: GraphRecord) -> list[str]:
     w = rec.witness
     if by_definition == (w is None):
         return []
-    detail = f"witness={w.name}{w.vertices}" if w else "no witness"
+    detail = f"witness={w[0]}{w[1]}" if w else "no witness"
     return [f"definitional={by_definition} forbidden-scan={w is None} ({detail})"]
 
 
-def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
+def _verify_minimal_forbidden(n_max: int) -> dict[str, Any]:
     """The minimal-forbidden sweep returns exactly the nine catalog graphs
     (also certifying the catalog's fixed edge lists), and each catalog
     member is itself minimal."""
@@ -191,27 +168,27 @@ def _verify_minimal_forbidden(n_max: int) -> TheoremReport:
         if not rec.minimal_forbidden:
             return []
         w = rec.witness
-        if w is None or len(w.vertices) < rec.graph.n:
+        if w is None or len(w[1]) < rec.graph.n:
             return ["minimal forbidden graph not in the catalog"]
-        matched.add(w.name)
+        matched.add(w[0])
         return []
 
     report = _sweep("minimal-forbidden", n_max, in_catalog)
-    violations = list(report.violations)
+    violations = report["violations"]
     for name, fg in FORBIDDEN_SUBGRAPHS.items():
         rec = GraphRecord(fg)
-        g6 = rec.graph6
-        if fg.n <= n_max and name not in matched:
-            violations.append(Violation(g6, f"catalog graph {name} not found by the sweep"))
         first = rec.violation
+        faults = []
+        if fg.n <= n_max and name not in matched:
+            faults.append("not found by the sweep")
         if first is None:
-            violations.append(Violation(g6, f"catalog graph {name} passes the definitional oracle"))
+            faults.append("passes the definitional oracle")
         elif not rec.minimal_forbidden:
             v = next(u for u in range(fg.n) if not first >> u & 1)
-            violations.append(
-                Violation(g6, f"catalog graph {name} minus vertex {v} still fails the oracle")
-            )
-    return replace(report, violations=tuple(violations))
+            faults.append(f"minus vertex {v} still fails the oracle")
+        violations += [{"graph6": rec.graph6, "message": f"catalog graph {name} {f}"} for f in faults]
+    report["passed"] = not violations
+    return report
 
 
 def _residue_bounds(rec: GraphRecord) -> list[str]:
@@ -293,7 +270,7 @@ def _class_chain(rec: GraphRecord) -> list[str]:
 
 
 # Registry for the command-line front end: id -> (check, default n_max).
-THEOREM_CHECKS: dict[str, tuple[Callable[[int], TheoremReport], int]] = {
+THEOREM_CHECKS: dict[str, tuple[Callable[[int], dict[str, Any]], int]] = {
     "forb-equivalence": (partial(_sweep, "forb-equivalence", predicate=_forb_equivalence), 7),
     "minimal-forbidden": (_verify_minimal_forbidden, 6),
     "residue-bounds": (partial(_sweep, "residue-bounds", predicate=_residue_bounds), 7),
@@ -303,9 +280,10 @@ THEOREM_CHECKS: dict[str, tuple[Callable[[int], TheoremReport], int]] = {
 }
 
 
-def verify(check_id: str, n_max: int | None = None) -> TheoremReport:
+def verify(check_id: str, n_max: int | None = None) -> dict[str, Any]:
     """Run the registered check check_id over every class of order
-    1..n_max (default: the check's default order). The registry is read at
-    call time, so a wrapper installed in THEOREM_CHECKS sees the call."""
+    1..n_max (default: the check's default order) and return its report
+    dict (see _sweep). The registry is read at call time, so a wrapper
+    installed in THEOREM_CHECKS sees the call."""
     check, default_n = THEOREM_CHECKS[check_id]
     return check(default_n if n_max is None else n_max)

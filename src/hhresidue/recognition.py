@@ -22,19 +22,18 @@ isolated and dominating vertices.
 The forbidden-subgraph scan reads one table, built once per process on
 first use from the graphs' edge lists: every labelled copy of every
 catalog graph, each coded with one bit per position pair and mapped to
-the graph's catalog name,
-together with the set of codes of each copy's first m positions. The
-scan, _first_copy, grows vertex subsets one vertex at a time in
-lexicographic order and drops a prefix as soon as its code begins no
-copy, so a subset is never built as a graph and no isomorphism test
-runs.
+the graph's catalog name, together with the set of codes of each copy's
+first m positions. The scan, _first_copy, grows vertex subsets one
+vertex at a time in lexicographic order and drops a prefix as soon as
+its code begins no copy, so a subset is never built as a graph and no
+isomorphism test runs. Its witness is the plain tuple (catalog name,
+sorted host vertices).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .catalog import FORBIDDEN_SUBGRAPHS
 from .graphs import Graph, check_order, iter_bits
@@ -114,15 +113,6 @@ def is_strong_havel_hakimi_definitional(g: Graph) -> bool:
     return definitional_violation(g) is None
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
-    """An induced occurrence of a forbidden graph: its catalog name and the
-    host vertices inducing it (sorted)."""
-
-    name: str
-    vertices: tuple[int, ...]
-
-
 @functools.cache
 def _copy_tables() -> tuple:
     """Per order k of the catalog, ascending: (k, prefixes, full). full
@@ -200,16 +190,17 @@ def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, s
     return hit
 
 
-def strong_hh_witness(g: Graph) -> ForbiddenWitness | None:
+def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Scan for an induced forbidden subgraph: subsets by increasing size
     (5 before 6), lexicographically within a size, catalog order within a
-    subset. Returns the first hit, or None when g is in the class."""
+    subset. Returns the first hit as (catalog name, sorted host vertices
+    inducing it), or None when g is in the class."""
     for k, prefixes, full in _copy_tables():
         if k > g.n:
             break
         hit = _first_copy(g.adj, g.n, k, prefixes, full)
         if hit:
-            return ForbiddenWitness(*hit)
+            return hit
     return None
 
 

@@ -1,0 +1,112 @@
+"""Known wrong versions of the source, each of which some test must catch.
+
+Each entry of MUTANTS is (source file, old snippet, new snippet, test
+files): replacing the snippet, which occurs exactly once in the file,
+breaks the program in one known way, and the named test files must then
+fail. Run
+
+    python tests/mutants.py
+
+main() copies the checkout without .git to a temporary directory, applies
+each entry there in turn, runs only its test files, and restores the file.
+The whole checkout is copied because tests/conftest.py puts its own ../src
+first on the path, and some tests read bench/, scripts/ and pyproject.toml
+by path. It exits 1 when a mutant survives (its tests pass), when pytest ends
+in any other way than failed tests, or when an old snippet does not occur
+exactly once. tests/test_mutants.py checks the snippets alone, in
+milliseconds, so a change that moves one fails at once; carry the entry
+forward or delete it, saying why in CHANGES.md.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # a report passes whatever it found
+    ("src/hhresidue/harness.py", '"passed": not violations,', '"passed": True,', ["tests/test_harness.py"]),
+    # minimal-forbidden keeps the sweep's verdict after the catalog part
+    ("src/hhresidue/harness.py", '    report["passed"] = not violations\n', "", ["tests/test_harness.py"]),
+    # a class is named by a witness on fewer than all its vertices
+    (
+        "src/hhresidue/harness.py",
+        "if w is None or len(w[1]) < rec.graph.n:",
+        "if w is None:",
+        ["tests/test_harness.py"],
+    ),
+    # analyze writes the witness's vertices where its name belongs
+    (
+        "src/hhresidue/cli.py",
+        '''f"{w[0]}:{','.join(map(str, w[1]))}"''',
+        '''f"{w[1]}:{','.join(map(str, w[0]))}"''',
+        ["tests/test_cli.py"],
+    ),
+    # the configuration needs three vertices u sees and w does not
+    (
+        "src/hhresidue/recognition.py",
+        "(au & ~adj[w] & ~(1 << w)).bit_count() >= 2:",
+        "(au & ~adj[w] & ~(1 << w)).bit_count() >= 3:",
+        ["tests/test_recognition.py"],
+    ),
+    # the forbidden scan keeps a prefix by the codes one position shorter
+    ("src/hhresidue/recognition.py", "prefixes[m + 1], 1 << m", "prefixes[m], 1 << m", ["tests/test_recognition.py"]),
+    # the definitional oracle returns the prefix's answer without the top sweep
+    ("src/hhresidue/recognition.py", "if first is not None:", "if True:", ["tests/test_recognition.py"]),
+    # threshold peeling deletes only isolated vertices
+    ("src/hhresidue/recognition.py", "if d == 0 or d == full:", "if d == 0:", ["tests/test_recognition.py"]),
+    # the forbidden scan never clears a chosen vertex's bit again
+    ("src/hhresidue/recognition.py", "rows[w] ^= bit", "pass", ["tests/test_recognition.py"]),
+    # branch-and-bound alpha folds vertices of degree 2 as if pendant
+    ("src/hhresidue/independence.py", "if dv <= 1:", "if dv <= 2:", ["tests/test_independence.py"]),
+    # the definitional sweep also skips five-vertex masks
+    ("src/hhresidue/recognition.py", "if len(verts) < 5:", "if len(verts) < 6:", ["tests/test_recognition.py"]),
+    # Maxine branching counts every candidate as its own branch size
+    ("src/hhresidue/independence.py", "len(cands) // 2", "len(cands)", ["tests/test_independence.py"]),
+    # the reduction steps a largest term equal to the number of terms
+    ("src/hhresidue/degseq.py", "0 < d[0] < len(d):", "0 < d[0] <= len(d):", ["tests/test_degseq.py"]),
+]
+
+
+def main() -> int:
+    survived = []
+    for path, old, new, _tests in MUTANTS:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            survived.append(f"{path}: {old!r} occurs {count} times")
+    if survived:
+        print(*survived, sep="\n")
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        for path, old, new, tests in MUTANTS:
+            target = copy / path
+            source = target.read_text()
+            target.write_text(source.replace(old, new))
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                    cwd=copy,
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=600,  # a mutant that loops fails the run
+                )
+            finally:
+                target.write_text(source)
+            # pytest exits 1 exactly when tests ran and some failed
+            verdict = "killed" if proc.returncode == 1 else f"SURVIVED (pytest exit {proc.returncode})"
+            print(f"{verdict}: {path}: {old.strip()!r} -> {new.strip()!r} [{' '.join(tests)}]", flush=True)
+            if proc.returncode != 1:
+                survived.append(path)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,7 @@ def test_criterion_01_worked_example_fidelity(capsys):
 
 def test_criterion_02_forb_equivalence_n7():
     rep = verify("forb-equivalence", 7)
-    report("2 recognizer equivalence n<=7", rep.passed and rep.graphs_checked == 1252)
+    report("2 recognizer equivalence n<=7", rep["passed"] and rep["graphs_checked"] == 1252)
 
 
 def test_criterion_03_minimal_forbidden_oracle():
@@ -74,12 +74,12 @@ def test_criterion_03_minimal_forbidden_oracle():
 
 def test_criterion_04_residue_bounds():
     rep = verify("residue-bounds", 7)
-    report("4 residue bounds", rep.passed)
+    report("4 residue bounds", rep["passed"])
 
 
 def test_criterion_05_r_equals_alpha_on_class_n7():
     rep = verify("r-equals-alpha-S", 7)
-    report("5 residue equals alpha on the class, n<=7", rep.passed)
+    report("5 residue equals alpha on the class, n<=7", rep["passed"])
 
 
 def test_criterion_05_slow_extension_n8():
@@ -89,7 +89,7 @@ def test_criterion_05_slow_extension_n8():
     elapsed = time.monotonic() - started
     report(
         f"5 residue equals alpha on the class, n<=8 ({classes} classes, {elapsed:.0f}s)",
-        rep.passed and classes == 12346 and elapsed < 1800,
+        rep["passed"] and classes == 12346 and elapsed < 1800,
     )
 
 
@@ -101,12 +101,12 @@ def test_criterion_06_maxine_on_p5():
 
 def test_criterion_07_lemma_c4_p5():
     rep = verify("lemma-c4-p5", 7)
-    report("7 C4-or-P5-center lemma", rep.passed)
+    report("7 C4-or-P5-center lemma", rep["passed"])
 
 
 def test_criterion_08_class_chain():
     rep = verify("class-chain", 7)
-    report("8 threshold => config-free => in-class", rep.passed)
+    report("8 threshold => config-free => in-class", rep["passed"])
 
 
 def test_criterion_09_cross_oracle_consistency():

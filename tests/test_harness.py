@@ -8,9 +8,12 @@ import pytest
 
 from hhresidue import harness, recognition
 from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, complete_bipartite, pan4, path
+from hhresidue.graph6 import parse_graph6
 from hhresidue.graphs import iter_bits
+from hhresidue.cli import main
 from hhresidue.harness import (
     THEOREM_CHECKS,
+    GraphRecord,
     on_c4_or_p5_center,
     records_up_to,
     verify,
@@ -30,8 +33,7 @@ def test_minimal_forbidden_up_to_5():
 
 
 def test_verify_minimal_forbidden_small():
-    report = verify("minimal-forbidden", 6)
-    assert report.passed
+    assert verify("minimal-forbidden", 6)["passed"]
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ def catalog_swap(monkeypatch):
         monkeypatch.setattr(recognition, "FORBIDDEN_SUBGRAPHS", catalog)
         monkeypatch.setattr(harness, "FORBIDDEN_SUBGRAPHS", catalog)
         monkeypatch.setattr(harness, "_records", {})
-        return [(v.graph6, v.message) for v in verify("minimal-forbidden", 6).violations]
+        return verify("minimal-forbidden", 6)
 
     yield run
     recognition._copy_tables.cache_clear()
@@ -89,15 +91,83 @@ def catalog_swap(monkeypatch):
 def test_minimal_forbidden_fails_on_a_wrong_catalog(catalog_swap, change, expected):
     catalog = dict(FORBIDDEN_SUBGRAPHS)
     change(catalog)
-    assert catalog_swap(catalog) == expected
+    report = catalog_swap(catalog)
+    assert [(v["graph6"], v["message"]) for v in report["violations"]] == expected
+    # P5-twice fails only after the sweep, in the catalog part
+    assert report["passed"] is False
+
+
+# (check, graph6, overwritten record facts, the check's messages): each
+# sweep check made to fail on one record whose cached facts are wrong;
+# Bg is the path on 3 vertices, DhC the path on 5
+FAILING_RECORDS = [
+    (
+        "forb-equivalence",
+        "DhC",
+        {"violation": None},
+        ["definitional=True forbidden-scan=False (witness=P5(0, 1, 2, 3, 4))"],
+    ),
+    ("forb-equivalence", "Bg", {"violation": 7}, ["definitional=False forbidden-scan=True (no witness)"]),
+    ("residue-bounds", "Bg", {"alpha": 0}, ["residue 2 exceeds alpha 0", "Maxine size 2 exceeds alpha 0"]),
+    ("residue-bounds", "Bg", {"maxine_sizes": (1, 2)}, ["Maxine size 1 below residue 2"]),
+    (
+        "r-equals-alpha-S",
+        "Bg",
+        {"alpha": 3, "maxine_sizes": (1, 2)},
+        ["in-class graph has residue 2 != alpha 3", "Maxine sizes (1, 2) differ from residue 2"],
+    ),
+    (
+        "lemma-c4-p5",
+        "Bg",
+        {"mis": 0b010},
+        ["vertex 1 is in every maximum independent set but on no induced C4 and not a P5 center"],
+    ),
+    ("class-chain", "Bg", {"config_free": False}, ["threshold graph contains the configuration"]),
+    ("class-chain", "DhC", {"config_free": True}, ["configuration-free graph is outside the class"]),
+]
+
+
+FAILING_IDS = [f"{cid}-{g6}-{'+'.join(facts)}" for cid, g6, facts, _ in FAILING_RECORDS]
+
+
+def failing_record(g6, facts):
+    rec = GraphRecord(parse_graph6(g6))
+    rec.__dict__.update(facts)  # where cached_property keeps a fact
+    return rec
+
+
+@pytest.mark.parametrize("theorem_id, g6, facts, messages", FAILING_RECORDS, ids=FAILING_IDS)
+def test_each_check_reports_a_wrong_fact(theorem_id, g6, facts, messages):
+    predicate = THEOREM_CHECKS[theorem_id][0].keywords["predicate"]
+    assert predicate(failing_record(g6, {})) == []
+    assert predicate(failing_record(g6, facts)) == messages
+
+
+@pytest.mark.parametrize("theorem_id, g6, facts, messages", FAILING_RECORDS, ids=FAILING_IDS)
+def test_verify_exits_1_on_a_violation(monkeypatch, capsys, theorem_id, g6, facts, messages):
+    """With the failing record as the check's only record, verify prints
+    the report that the check returns and exits 1."""
+    rec = failing_record(g6, facts)
+    n = rec.graph.n
+    monkeypatch.setattr(harness, "_records", {k: [rec] if k == n else [] for k in range(1, n + 1)})
+    assert main(["verify", theorem_id, "--max-n", str(n)]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {
+        "theorem_id": theorem_id,
+        "n_max": n,
+        "graphs_checked": 1,
+        "passed": False,
+        "violations": [{"graph6": g6, "message": m} for m in messages],
+    }
+    assert verify(theorem_id, n) == printed
 
 
 def test_all_checks_pass_at_n5():
     for theorem_id, (check, _default) in THEOREM_CHECKS.items():
         report = check(5)
-        assert report.passed, (theorem_id, report.violations[:3])
-        assert report.theorem_id == theorem_id
-        assert report.n_max == 5
+        assert report["passed"], (theorem_id, report["violations"][:3])
+        assert report["theorem_id"] == theorem_id
+        assert report["n_max"] == 5
 
 
 def test_checks_share_one_record_per_class(monkeypatch):
@@ -114,7 +184,7 @@ def test_checks_share_one_record_per_class(monkeypatch):
     monkeypatch.setattr(harness, "_records", {})
     monkeypatch.setattr(harness, "strong_hh_witness", counting)
     for theorem_id in THEOREM_CHECKS:
-        assert verify(theorem_id, 6).passed, theorem_id
+        assert verify(theorem_id, 6)["passed"], theorem_id
     assert len(scanned) == len(set(scanned)) == 208
     for theorem_id in THEOREM_CHECKS:
         verify(theorem_id, 6)
@@ -143,7 +213,7 @@ def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
     memo.cache_clear()
     monkeypatch.setattr(harness, "_records", {})
     for theorem_id in THEOREM_CHECKS:
-        assert verify(theorem_id, 6).passed, theorem_id
+        assert verify(theorem_id, 6)["passed"], theorem_id
     info = memo.cache_info()
     assert (info.currsize, info.misses, info.hits) == (227, 227, 216)
     for theorem_id in THEOREM_CHECKS:
@@ -171,7 +241,7 @@ def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
 
 
 def test_verify_uses_default_order():
-    assert verify("minimal-forbidden").n_max == 6
+    assert verify("minimal-forbidden")["n_max"] == 6
 
 
 def test_reports_are_deterministic():
@@ -181,13 +251,14 @@ def test_reports_are_deterministic():
 
 
 def test_counts_examples():
-    assert verify("forb-equivalence", 4).graphs_checked == 18
-    assert verify("residue-bounds", 5).graphs_checked == 52
+    assert verify("forb-equivalence", 4)["graphs_checked"] == 18
+    assert verify("residue-bounds", 5)["graphs_checked"] == 52
 
 
 def test_report_dict_schema():
     report = verify("forb-equivalence", 3)
-    payload = json.loads(json.dumps(report.to_dict()))
+    payload = json.loads(json.dumps(report))
+    assert list(payload) == ["theorem_id", "n_max", "graphs_checked", "passed", "violations"]
     assert payload == {
         "theorem_id": "forb-equivalence",
         "n_max": 3,

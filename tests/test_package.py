@@ -23,9 +23,9 @@ def test_top_level_names_are_the_module_objects():
     assert hhresidue.is_strong_havel_hakimi_definitional is recognition.is_strong_havel_hakimi_definitional
 
 
-def test_import_loads_four_submodules():
+def run_probe(probe):
+    """stdout of probe run by a fresh interpreter on this checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    probe = "import sys, hhresidue; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'hhresidue')))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -34,7 +34,12 @@ def test_import_loads_four_submodules():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    return proc.stdout
+
+
+def test_import_loads_four_submodules():
+    probe = "import sys, hhresidue; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'hhresidue')))"
+    assert run_probe(probe).split() == [
         "hhresidue",
         "hhresidue.catalog",
         "hhresidue.graphs",
@@ -43,9 +48,28 @@ def test_import_loads_four_submodules():
     ]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Neither the package nor its command line imports dataclasses, which
+    also loads inspect, ast and dis at every start. Modules loaded before
+    the import (site may load some) do not count."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hhresidue\n"
+        "package = set(sys.modules)\n"
+        "import hhresidue.cli\n"
+        "print(*sorted(package - before), sep=' ')\n"
+        "print(*sorted(set(sys.modules) - package), sep=' ')\n"
+    )
+    package, cli = run_probe(probe).splitlines()
+    assert "hhresidue.recognition" in package.split()
+    assert "hhresidue.harness" in cli.split()
+    for new in (package.split(), cli.split()):
+        assert not {"dataclasses", "inspect"} & set(new), new
+
+
 def test_copy_table_is_built_on_first_use_once():
     # building the table at import would add its build time to every CLI start
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
     probe = (
         "import hhresidue\n"
         "from hhresidue import recognition\n"
@@ -55,15 +79,7 @@ def test_copy_table_is_built_on_first_use_once():
         "recognition.strong_hh_witness(path(6))\n"
         "print(recognition._copy_tables.cache_info().currsize)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1"]
+    assert run_probe(probe).split() == ["0", "1"]
 
 
 STOOL = stool()

@@ -102,28 +102,23 @@ def test_hh_deletion_mirrors_step(g):
 # --- the forbidden-subgraph scan by hand ------------------------------------
 
 
-def witness_pair(g):
-    w = strong_hh_witness(g)
-    return None if w is None else (w.name, w.vertices)
-
-
 def test_witness_is_an_induced_copy():
     """K_{2,3}+ and P3+K3 each contain an earlier catalog graph as a
     subgraph (K_{2,3}, 2P3) but not as an induced one."""
     assert set(complete_bipartite(2, 3).edges()) < set(k23_plus().edges())
-    assert witness_pair(k23_plus()) == ("K_{2,3}+", (0, 1, 2, 3, 4))
+    assert strong_hh_witness(k23_plus()) == ("K_{2,3}+", (0, 1, 2, 3, 4))
     assert set(two_p3().edges()) < set(p3_plus_k3().edges())
-    assert witness_pair(p3_plus_k3()) == ("P3+K3", (0, 1, 2, 3, 4, 5))
+    assert strong_hh_witness(p3_plus_k3()) == ("P3+K3", (0, 1, 2, 3, 4, 5))
 
 
 def test_witness_prefers_smaller_subsets():
     # 2P3 on 0..5 comes first lexicographically, but a P5 is smaller
     g = disjoint_union(two_p3(), path(5))
-    assert witness_pair(g) == ("P5", (6, 7, 8, 9, 10))
+    assert strong_hh_witness(g) == ("P5", (6, 7, 8, 9, 10))
 
 
 def test_witness_is_the_lexicographically_first_copy():
-    assert witness_pair(disjoint_union(path(5), path(5))) == ("P5", (0, 1, 2, 3, 4))
+    assert strong_hh_witness(disjoint_union(path(5), path(5))) == ("P5", (0, 1, 2, 3, 4))
 
 
 def test_copy_tables_match_pair_by_pair_build():
@@ -161,7 +156,7 @@ def reference_witness(g):
 
 
 def assert_scans_match_reference(g):
-    assert witness_pair(g) == reference_witness(g)
+    assert strong_hh_witness(g) == reference_witness(g)
     assert is_threshold(g) == (reference_scan(g, THRESHOLD_TARGETS) is None)
 
 
@@ -184,7 +179,7 @@ def test_scans_match_reference_on_relabelled_catalog_and_threshold_graphs():
             perm = list(range(fg.n))
             rng.shuffle(perm)
             g = relabel(fg, perm)
-            assert witness_pair(g) == (name, tuple(range(fg.n)))
+            assert strong_hh_witness(g) == (name, tuple(range(fg.n)))
             assert_scans_match_reference(g)
     for n in range(10, 21, 2):
         g = alternating_threshold_graph(n, rng)
@@ -222,7 +217,7 @@ def test_scans_match_reference_above_order_10():
     for n in range(11, 21):
         for p in (0.1, 0.2, 0.3, 0.5, 0.8) * 2:
             g = gnp(n, p, rng)
-            assert witness_pair(g) == reference_witness(g), (n, p)
+            assert strong_hh_witness(g) == reference_witness(g), (n, p)
     hits = 0
     for n in (11, 12):
         for _ in range(5):
@@ -231,10 +226,10 @@ def test_scans_match_reference_above_order_10():
             g = relabel(g, rng.sample(range(n), n))
             perm = rng.sample(range(n + 1), n + 1)
             h = relabel(h, perm)
-            assert witness_pair(g) is None
+            assert strong_hh_witness(g) is None
             assert reference_witness(g) is None
             assert definitional_violation(g) is None
-            hit = witness_pair(h)
+            hit = strong_hh_witness(h)
             assert hit == reference_witness(h)
             if hit:
                 hits += 1
@@ -246,10 +241,7 @@ def test_scans_match_reference_above_order_10():
 
 
 def test_p5_witnesses_itself():
-    w = strong_hh_witness(path(5))
-    assert w is not None
-    assert w.name == "P5"
-    assert w.vertices == (0, 1, 2, 3, 4)
+    assert strong_hh_witness(path(5)) == ("P5", (0, 1, 2, 3, 4))
 
 
 def test_complete_graphs_are_in_class():
@@ -380,10 +372,7 @@ def test_class_is_hereditary(g):
 
 def test_forbidden_members_witness_themselves():
     for name, fg in FORBIDDEN_SUBGRAPHS.items():
-        w = strong_hh_witness(fg)
-        assert w is not None
-        assert w.name == name
-        assert w.vertices == tuple(range(fg.n))
+        assert strong_hh_witness(fg) == (name, tuple(range(fg.n)))
 
 
 # --- matrogenic configuration ------------------------------------------------
