@@ -6,14 +6,21 @@ adjacency matrix follows in column-major pair order (0,1),(0,2),(1,2),
 (0,3),..., packed six bits per byte (first pair most significant), each
 byte offset by 63, with zero padding to a byte boundary. Encoding is exact
 for the labeled graph (not isomorph-canonical) and round-trips bit for bit.
+
+Both directions go through one string of pair bits, one character per
+pair: column j is the j characters for (0,j),...,(j-1,j), which read
+backwards are vertex j's neighbours below j as a binary numeral.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 HEADER = ">>graph6<<"
 _MAX_N = 258047
+# a body byte's six pair bits, and back
+_BITS = {v + 63: format(v, "06b") for v in range(64)}
+_CHAR = {format(v, "06b"): chr(v + 63) for v in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -41,44 +48,37 @@ def parse_graph6(text: str) -> Graph:
         code = ord(ch)
         if not 63 <= code <= 126:
             raise Graph6Error(f"byte {code} outside graph6 range 63..126", base + i)
-    vals = [ord(ch) - 63 for ch in s]
-    if vals[0] < 63:
-        n = vals[0]
-        idx = 1
-    else:
-        if len(s) >= 2 and vals[1] == 63:
+    n = ord(s[0]) - 63
+    idx = 1
+    if n == 63:
+        if len(s) >= 2 and s[1] == "~":
             raise Graph6Error(f"orders above {_MAX_N} are not supported", base + 1)
         if len(s) < 4:
             raise Graph6Error("truncated extended order field", base + len(s))
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
         if n <= 62:
             raise Graph6Error("non-minimal order encoding", base)
         idx = 4
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
-    have = len(vals) - idx
+    have = len(s) - idx
     if have != need:
         raise Graph6Error(
             f"expected {need} adjacency bytes for order {n}, found {have}",
             base + min(len(s), idx + need),
         )
-    edges = []
-    pairs_done = 0
-    i, j = 0, 1  # current pair, column-major order
-    for k in range(need):
-        val = vals[idx + k]
-        for shift in range(5, -1, -1):
-            bit = val >> shift & 1
-            if pairs_done < npairs:
-                if bit:
-                    edges.append((i, j))
-                pairs_done += 1
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits", base + idx + k)
-    return Graph(n, edges)
+    bits = s[idx:].translate(_BITS)
+    if "1" in bits[npairs:]:
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)  # in the last byte
+    adj = [0] * n
+    pos = 0
+    for j in range(1, n):
+        low = int(bits[pos:pos + j][::-1], 2)
+        pos += j
+        adj[j] = low
+        for i in iter_bits(low):
+            adj[i] |= 1 << j
+    return Graph._from_adj(n, tuple(adj))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -91,18 +91,6 @@ def emit_graph6(g: Graph) -> str:
     else:
         raise ValueError(f"orders above {_MAX_N} are not supported")
     adj = g.adj
-    chars = []
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        col = adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                chars.append(chr(acc + 63))
-                acc = 0
-                filled = 0
-    if filled:
-        chars.append(chr((acc << (6 - filled)) + 63))
-    return head + "".join(chars)
+    bits = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(_CHAR[bits[k:k + 6]] for k in range(0, len(bits), 6))

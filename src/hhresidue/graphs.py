@@ -19,7 +19,7 @@ from collections.abc import Iterable
 
 # Largest supported order of each exact computation.
 SCALE_MAX_N: dict[str, int] = {
-    "alpha": 24,  # independence.independence_number (branch and bound)
+    "alpha": 24,  # independence.independence_number (plain branching)
     "subset sweep": 20,  # independence: exhaustive alpha, common-MIS mask
     "maxine branching": 9,  # independence.maxine_all_branches
     "definitional": 12,  # recognition.definitional_violation

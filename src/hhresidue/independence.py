@@ -1,21 +1,20 @@
 """Exact maximum independent sets and the Maxine max-degree-deletion
 heuristic.
 
-Two exact routes to the independence number cross-check each other: a
-branch-and-bound with a greedy clique-cover bound, which takes every
-vertex of degree 0 or 1 without branching and branches on a
-maximum-degree vertex only when every vertex left has degree at least 2,
-and an exhaustive sweep over every independent set, grown depth first one
-higher vertex at a time, which also gives the vertices common to every
-maximum independent set. Maxine can be run once with a fixed
-tie-breaking strategy, giving its deletion order (the survivors are the
-vertices not deleted), or branched over every choice of maximum-degree
-vertex, collecting the full set of achievable independent-set sizes.
-The branching skips what it can predict exactly: at maximum degree 1
-the residual graph is a matching plus isolated vertices, so every run
-ends at one size, and of tied candidates that are twins (the same open
-or the same closed neighbourhood) only one is deleted, since swapping
-twins is an automorphism of the residual graph.
+Two exact routes to the independence number cross-check each other:
+plain branching on a maximum-degree vertex once no vertex of degree 0
+or 1 is left, and an exhaustive sweep over every independent set, grown
+depth first one higher vertex at a time, which also gives the vertices
+common to every maximum independent set. Maxine can be run once with a
+fixed tie-breaking strategy, giving its deletion order (the survivors
+are the vertices not deleted), or branched over every choice of
+maximum-degree vertex, collecting the full set of achievable
+independent-set sizes. Maxine's branching skips what it can predict
+exactly: at maximum degree 1 the residual graph is a matching plus
+isolated vertices, so every run ends at one size, and of tied candidates
+that are twins (the same open or the same closed neighbourhood) only one
+is deleted, since swapping twins is an automorphism of the residual
+graph.
 """
 
 from __future__ import annotations
@@ -26,74 +25,53 @@ from .graphs import Graph, check_order, iter_bits
 
 
 def independence_number(g: Graph) -> int:
-    """Exact independence number by branch and bound. A vertex of degree 0
+    """Exact independence number by plain branching. A vertex of degree 0
     or 1 among those left is taken without branching, and its closed
     neighbourhood removed: some maximum independent set contains it, since
     swapping its one neighbour for it keeps a set independent and of the
     same size. When every vertex left has degree at least 2, branch on one
-    of maximum degree (include or exclude), pruned by a greedy clique-cover
-    upper bound."""
+    v of maximum degree: take it (removing N[v]) or delete it, with no
+    bound. The search stays small: at degree 3 or more, taking v removes
+    at least 4 vertices, so the tree has at most about 1.38^n leaves; at
+    maximum degree 2 the graph left is a union of cycles, and either
+    branch at a cycle leaves a path, which peels."""
     check_order("alpha", g.n)
-    n, adj = g.n, g.adj
-    best = 0
+    return _alpha(g.adj, (1 << g.n) - 1)
 
-    def clique_cover_bound(mask: int) -> int:
-        count = 0
-        rem = mask
-        while rem:
-            low = rem & -rem
+
+def _alpha(adj: tuple[int, ...], mask: int) -> int:
+    """The independence number of the subgraph induced by mask."""
+    size = 0
+    taken = True
+    while taken:
+        # a pass takes each vertex of degree <= 1 it meets and notes a
+        # maximum-degree vertex; a take can lower degrees already read,
+        # so passes repeat until one takes nothing
+        taken, vbest, dbest = False, -1, 1
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            if not mask & low:
+                continue  # the neighbour of a vertex taken this pass
             v = low.bit_length() - 1
-            clique = low
-            cand = adj[v] & rem
-            while cand:
-                ub = cand & -cand
-                u = ub.bit_length() - 1
-                clique |= ub
-                cand &= adj[u]
-            rem &= ~clique
-            count += 1
-        return count
-
-    def explore(mask: int, size: int) -> None:
-        nonlocal best
-        taken = True
-        while taken:
-            # a pass takes each vertex of degree <= 1 it meets and notes a
-            # maximum-degree vertex; a take can lower degrees already read,
-            # so passes repeat until one takes nothing
-            taken, vbest, dbest = False, -1, 1
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                if not mask & low:
-                    continue  # the neighbour of a vertex taken this pass
-                v = low.bit_length() - 1
-                nbrs = adj[v] & mask
-                dv = nbrs.bit_count()
-                if dv <= 1:
-                    mask ^= low | nbrs
-                    size += 1
-                    taken = True
-                elif dv > dbest:
-                    vbest, dbest = v, dv
-        if not mask:
-            if size > best:
-                best = size
-            return
-        if size + clique_cover_bound(mask) <= best:
-            return
-        explore(mask & ~adj[vbest] & ~(1 << vbest), size + 1)
-        explore(mask & ~(1 << vbest), size)
-
-    explore((1 << n) - 1, 0)
-    del explore  # the closure refers to itself: free it without the cyclic collector
-    return best
+            nbrs = adj[v] & mask
+            dv = nbrs.bit_count()
+            if dv <= 1:
+                mask ^= low | nbrs
+                size += 1
+                taken = True
+            elif dv > dbest:
+                vbest, dbest = v, dv
+    if not mask:
+        return size
+    bit = 1 << vbest
+    return size + max(1 + _alpha(adj, mask & ~(adj[vbest] | bit)), _alpha(adj, mask ^ bit))
 
 
 def independence_number_bitmask(g: Graph) -> int:
     """Exhaustive oracle: visit every independent set (see _subset_sweep).
-    Independent of the branch-and-bound route."""
+    Independent of the branching route."""
     return _subset_sweep(g)[0]
 
 
@@ -127,7 +105,7 @@ def _subset_sweep(g: Graph) -> tuple[int, int]:
             extend(chosen | bit, size, cand & ~adj[v] & -(bit << 1))
 
     extend(0, 0, (1 << g.n) - 1)
-    del extend  # as in independence_number
+    del extend  # the closure refers to itself: free it without the cyclic collector
     return best, common
 
 
@@ -218,5 +196,5 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
         return sizes
 
     sizes = explore((1 << g.n) - 1)
-    del explore  # as in independence_number
+    del explore  # as in _subset_sweep
     return iter_bits(sizes)

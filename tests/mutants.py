@@ -61,7 +61,7 @@ MUTANTS = [
     ("src/hhresidue/recognition.py", "if d == 0 or d == full:", "if d == 0:", ["tests/test_recognition.py"]),
     # the forbidden scan never clears a chosen vertex's bit again
     ("src/hhresidue/recognition.py", "rows[w] ^= bit", "pass", ["tests/test_recognition.py"]),
-    # branch-and-bound alpha folds vertices of degree 2 as if pendant
+    # alpha folds vertices of degree 2 as if pendant
     ("src/hhresidue/independence.py", "if dv <= 1:", "if dv <= 2:", ["tests/test_independence.py"]),
     # the definitional sweep also skips five-vertex masks
     ("src/hhresidue/recognition.py", "if len(verts) < 5:", "if len(verts) < 6:", ["tests/test_recognition.py"]),
@@ -69,6 +69,33 @@ MUTANTS = [
     ("src/hhresidue/independence.py", "len(cands) // 2", "len(cands)", ["tests/test_independence.py"]),
     # the reduction steps a largest term equal to the number of terms
     ("src/hhresidue/degseq.py", "0 < d[0] < len(d):", "0 < d[0] <= len(d):", ["tests/test_degseq.py"]),
+    # alpha always takes the branching vertex
+    (
+        "src/hhresidue/independence.py",
+        "max(1 + _alpha(adj, mask & ~(adj[vbest] | bit)), _alpha(adj, mask ^ bit))",
+        "1 + _alpha(adj, mask & ~(adj[vbest] | bit))",
+        ["tests/test_independence.py"],
+    ),
+    # alpha's exclude branch also deletes the branching vertex's neighbours
+    (
+        "src/hhresidue/independence.py",
+        "_alpha(adj, mask ^ bit))",
+        "_alpha(adj, mask & ~(adj[vbest] | bit)))",
+        ["tests/test_independence.py"],
+    ),
+    # graph6 parsing accepts set padding bits
+    ("src/hhresidue/graph6.py", 'if "1" in bits[npairs:]:', "if False:", ["tests/test_graph6.py"]),
+    # graph6 emits each column last pair first
+    ("src/hhresidue/graph6.py", 'f"0{j}b")[::-1]', 'f"0{j}b")', ["tests/test_graph6.py"]),
+    # graph6 parsing sets only each vertex's neighbours below it
+    ("src/hhresidue/graph6.py", "adj[i] |= 1 << j", "pass", ["tests/test_graph6.py"]),
+    # a new vertex may skip vertex 0 among those it must join
+    (
+        "src/hhresidue/enumeration.py",
+        "if d == k - 1)",
+        "if d == k - 1 and u)",
+        ["tests/test_enumeration.py"],
+    ),
 ]
 
 

@@ -107,10 +107,12 @@ def isomorphism_class_count_labeled(n: int) -> int:
 
 
 def to_networkx(g: Graph):
-    """g as a networkx Graph on nodes 0..n-1. networkx is imported here,
-    not at module level, so the other oracles work without it."""
+    """g as a networkx Graph on nodes 0..n-1, added in that order (the
+    order networkx's graph6 writer labels them in). networkx is imported
+    here, not at module level, so the other oracles work without it."""
     import networkx as nx
 
-    ng = nx.Graph(g.edges())
+    ng = nx.Graph()
     ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
     return ng

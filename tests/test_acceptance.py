@@ -117,7 +117,7 @@ def test_criterion_09_cross_oracle_consistency():
             d = tuple(sorted(terms, reverse=True))
             if is_graphical(d) != is_graphical_erdos_gallai(d):
                 ok = False
-    # exact alpha: branch-and-bound vs bitmask sweep on seeded random graphs
+    # exact alpha: branching vs bitmask sweep on seeded random graphs
     rng = random.Random(20250808)
     for _ in range(1000):
         n = rng.randint(1, 16)

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 from hhresidue.catalog import path
 from hhresidue.cli import CSV_COLUMNS, main
 from hhresidue.graph6 import emit_graph6
-from hhresidue.graphs import SCALE_MAX_N
+from hhresidue.graphs import SCALE_MAX_N, Graph
 
 from strategies import cycle
 
@@ -455,6 +456,18 @@ def bench_corpus_g6(seed):
     return "".join(r["g6"] + "\n" for r in inputs.analyze_corpus(seed))
 
 
+def wide_orders_g6():
+    """A header-prefixed line of order 9, then seeded G(n, p) graphs of
+    orders 62, 63 (the first with the four-byte order field) and 100: the
+    codec at both order forms, and rows past every exact bound."""
+    rng = random.Random(63)
+    lines = []
+    for n, p in ((9, 0.5), (62, 0.3), (63, 0.5), (100, 0.1)):
+        g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        lines.append(emit_graph6(g))
+    return ">>graph6<<" + "\n".join(lines) + "\n"
+
+
 # sha256 of stdout for fixed runs: a kernel change that alters any
 # reported byte fails here. Change a digest only with an intended change
 # of output, and say so where the change is recorded.
@@ -464,6 +477,7 @@ PINNED_STDOUT_SHA256 = {
     "analyze-json-seed-0-first": "277d492c4760838d044038d4aa09b2f8c62b4e9cd8c8567a373b4f1ae9345c7a",
     "analyze-json-seed-0-last": "65a412f84607a807a2bb0ef25b29b3b0dd2e53168f91a576c56203090d0db567",
     "analyze-json-seed-0-random-3": "51605651f161813c3b41450053ab4f3f4ef7c96b71511a2d12239c9ba345913c",
+    "analyze-json-wide-orders": "9ab6dc153eb7e6591d5d77146417d9d85f3608f1e83669ea110a11e71d5208a1",
     "verify-all-max-n-7": "f7d42e2325680d295c72f501ae13a04b8537831d9ddcdd2462d850c68408e69e",
 }
 
@@ -471,6 +485,8 @@ PINNED_STDOUT_SHA256 = {
 def test_outputs_match_pinned_digests(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text(bench_corpus_g6(0))
+    wide = tmp_path / "wide.g6"
+    wide.write_text(wide_orders_g6())
     runs = {
         "analyze-json-seed-0": ("analyze", "--input", str(corpus), "--format", "json"),
         "analyze-csv-seed-0": ("analyze", "--input", str(corpus), "--format", "csv"),
@@ -479,6 +495,7 @@ def test_outputs_match_pinned_digests(tmp_path):
         "analyze-json-seed-0-random-3": (
             "analyze", "--input", str(corpus), "--strategy", "random", "--seed", "3",
         ),
+        "analyze-json-wide-orders": ("analyze", "--input", str(wide)),
         "verify-all-max-n-7": ("verify", "all", "--max-n", "7"),
     }
     for key, argv in runs.items():

@@ -1,13 +1,16 @@
 """graph6 codec: hand-checked strings, round trips, error reporting."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from hhresidue.catalog import complete, path
-from hhresidue.graph6 import Graph6Error, emit_graph6, parse_graph6
+from hhresidue.graph6 import HEADER, Graph6Error, emit_graph6, parse_graph6
 from hhresidue.graphs import Graph
 
+from oracles import to_networkx
 from strategies import graphs, graphs_up_to
 
 
@@ -38,32 +41,38 @@ def test_extended_order_round_trip():
         assert parse_graph6(s) == g
 
 
-def test_parse_rejects_bad_bytes():
-    with pytest.raises(Graph6Error) as exc:
-        parse_graph6("A ")
-    assert exc.value.offset == 1
-
-
-def test_parse_rejects_wrong_length():
-    with pytest.raises(Graph6Error):
-        parse_graph6("D")  # order 5 needs adjacency bytes
-    with pytest.raises(Graph6Error):
-        parse_graph6("A__")  # one byte too many
-
-
-def test_parse_rejects_nonzero_padding():
+# every error kind: input, message, offset in the input (no header)
+PARSE_ERRORS = [
+    pytest.param("", "empty graph6 string", 0, id="empty"),
+    pytest.param("A ", "byte 32 outside graph6 range 63..126", 1, id="space"),
+    pytest.param("B\x7fw", "byte 127 outside graph6 range 63..126", 1, id="del"),
+    pytest.param("~~???", "orders above 258047 are not supported", 1, id="order-above-max"),
+    pytest.param("~?", "truncated extended order field", 2, id="truncated-order"),
+    # order 1 in extended form
+    pytest.param("~??@", "non-minimal order encoding", 0, id="non-minimal-order"),
+    pytest.param("D", "expected 2 adjacency bytes for order 5, found 0", 1, id="too-few-bytes"),
+    pytest.param("A__", "expected 1 adjacency bytes for order 2, found 2", 2, id="too-many-bytes"),
+    pytest.param(
+        "~?@?" + "?" * 10,
+        "expected 336 adjacency bytes for order 64, found 10",
+        14,
+        id="extended-too-few-bytes",
+    ),
     # order 2 has one adjacency bit; '`' = 100001 sets a padding bit
+    pytest.param("A`", "nonzero padding bits", 1, id="padding"),
+    # order 3: three padding bits, the last set
+    pytest.param("Bx", "nonzero padding bits", 1, id="padding-order-3"),
+]
+
+
+@pytest.mark.parametrize("header", ["", HEADER], ids=["bare", "header"])
+@pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
+def test_parse_rejects(header, text, message, offset):
     with pytest.raises(Graph6Error) as exc:
-        parse_graph6("A`")
-    assert "padding" in str(exc.value)
-    assert exc.value.offset == 1
-
-
-def test_parse_rejects_empty_and_nonminimal():
-    with pytest.raises(Graph6Error):
-        parse_graph6("")
-    with pytest.raises(Graph6Error):
-        parse_graph6("~??@")  # order 1 written in extended form
+        parse_graph6(header + text)
+    offset += len(header)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (byte offset {offset})"
 
 
 def test_emit_order_bound():
@@ -91,3 +100,24 @@ def test_round_trip_on_enumerated_graphs():
         s = emit_graph6(g)
         assert parse_graph6(s) == g
         assert emit_graph6(parse_graph6(s)) == s
+
+
+def test_codec_matches_networkx():
+    """networkx writes the same string for every class of order <= 7 and
+    for seeded graphs of orders 0..130, reads back the same edges, and its
+    bytes parse to an equal Graph with equal degrees."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(130)
+    gs = list(graphs_up_to(7))
+    for n in range(131):
+        p = rng.random()
+        gs.append(Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+    for g in gs:
+        s = emit_graph6(g)
+        theirs = nx.to_graph6_bytes(to_networkx(g), nodes=range(g.n), header=False)
+        assert theirs == (s + "\n").encode(), g
+        h = nx.from_graph6_bytes(s.encode())
+        assert h.number_of_nodes() == g.n
+        assert sorted(tuple(sorted(e)) for e in h.edges()) == g.edges(), g
+        back = parse_graph6(theirs.decode().rstrip("\n"))
+        assert back == g and back.degrees == g.degrees, g

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from hhresidue import independence
 from hhresidue.catalog import complete, path
 from hhresidue.degseq import residue
-from hhresidue.graphs import Graph, iter_bits
+from hhresidue.graphs import Graph, complement, disjoint_union, iter_bits
 from hhresidue.harness import on_c4_or_p5_center
 from hhresidue.independence import (
     common_mis_mask,
@@ -76,21 +76,43 @@ def test_alpha_routes_agree(g):
 
 def test_alpha_matches_networkx_clique_of_complement():
     """alpha(g) is the largest clique of the complement, by networkx, on
-    every class of order <= 7 and on seeded G(n, p) graphs up to n = 24."""
+    every class of order <= 7, on seeded G(n, p) graphs up to n = 24, on
+    seeded d-regular graphs of order 24 (d = 3..6) and their complements,
+    on complete multipartite graphs and on disjoint unions of cycles; at
+    n <= 20 also by the subset sweep."""
     nx = pytest.importorskip("networkx")
 
     def nx_alpha(g):
         return len(nx.max_weight_clique(nx.complement(to_networkx(g)), weight=None)[0])
+
+    def from_nx(h):
+        return Graph(h.number_of_nodes(), list(h.edges()))
 
     classes = list(graphs_up_to(7))
     assert len(classes) == 1252
     for g in classes:
         assert independence_number(g) == nx_alpha(g), g
     rng = random.Random(24)
+    others = []
     for n in range(8, 25):
         for p in (0.1, 0.3, 0.5, 0.8):
-            g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
-            assert independence_number(g) == nx_alpha(g), g
+            others.append(Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+    for d in range(3, 7):
+        for seed in range(3):
+            g = from_nx(nx.random_regular_graph(d, 24, seed=100 * d + seed))
+            others += [g, complement(g)]
+    for sizes in ((1, 2, 3), (4, 4, 4), (2, 5, 7, 3), (8, 8, 8), (6,) * 4, (1,) * 20, (3, 9, 12)):
+        others.append(from_nx(nx.complete_multipartite_graph(*sizes)))
+    for lengths in ((3,) * 8, (4,) * 6, (5, 7, 9), (3, 4, 5, 6), (24,), (11, 13), (5,) * 4):
+        g = Graph(0)
+        for k in lengths:
+            g = disjoint_union(g, cycle(k))
+        others.append(g)
+    for g in others:
+        alpha = independence_number(g)
+        assert alpha == nx_alpha(g), g
+        if g.n <= 20:
+            assert alpha == independence_number_bitmask(g), g
 
 
 def shuffled(n, edges, rng):

@@ -86,9 +86,10 @@ STOOL = stool()
 STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
-# each call runs one recursive inner function: _first_copy's extend,
-# independence_number's explore, _subset_sweep's extend,
-# maxine_all_branches's explore and _match's backtrack
+# each call runs one recursive search: _first_copy's extend,
+# _subset_sweep's extend, maxine_all_branches's explore and _match's
+# backtrack are inner functions; independence_number's _alpha is a
+# module-level function, so no closure can refer to it
 @pytest.mark.parametrize(
     "call",
     [
