@@ -124,13 +124,3 @@ class Graph:
         """Degrees sorted from largest to smallest."""
         return tuple(sorted(self.degrees, reverse=True))
 
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    return Graph._from_adj(g.n, adj)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    adj = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph._from_adj(g.n + h.n, tuple(adj))

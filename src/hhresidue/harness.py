@@ -42,13 +42,13 @@ from __future__ import annotations
 from functools import cached_property, partial
 from typing import Any, Callable
 
-from .catalog import FORBIDDEN_SUBGRAPHS
 from .degseq import residue
 from .enumeration import enumerate_graphs
 from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits
 from .independence import independence_number, common_mis_mask, maxine_all_branches
 from .recognition import (
+    FORBIDDEN_SUBGRAPHS,
     definitional_violation,
     is_matrogenic_config_free,
     is_threshold,

@@ -19,8 +19,11 @@ plain boolean tests: the absence of the five-vertex configuration that
 characterizes matrogenic graphs, and threshold recognition by peeling
 isolated and dominating vertices.
 
-The forbidden-subgraph scan reads one table, built once per process on
-first use from the graphs' edge lists: every labelled copy of every
+The nine forbidden graphs are written below as literal edge lists in
+FORBIDDEN_SUBGRAPHS; the minimal-forbidden sweep of hhresidue.harness
+certifies them, since it finds exactly these nine graphs among all
+graphs of order at most 6. The scan reads one table, built once per
+process on first use from those edge lists: every labelled copy of every
 catalog graph, each coded with one bit per position pair and mapped to
 the graph's catalog name, together with the set of codes of each copy's
 first m positions. The scan, _first_copy, grows vertex subsets one
@@ -35,8 +38,30 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .catalog import FORBIDDEN_SUBGRAPHS
 from .graphs import Graph, check_order, iter_bits
+
+# Minimal forbidden induced subgraphs of the strong Havel-Hakimi class,
+# in scan order: the five-vertex members first, then the six-vertex ones.
+FORBIDDEN_SUBGRAPHS: dict[str, Graph] = {
+    # path 0-1-2-3-4
+    "P5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    # 4-cycle 0-1-2-3, pendant 4 on 0
+    "4-pan": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+    # parts {0, 1} and {2, 3, 4}
+    "K_{2,3}": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    # K_{2,3} plus the edge 2-3; the complement of K2 + P3
+    "K_{2,3}+": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+    # triangle {0, 1, 2}, vertex 3 on 0 and 1, pendant 4 on 2
+    "kite": Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]),
+    # paths 0-1-2 and 3-4-5
+    "2P3": Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    # path 0-1-2 and triangle {3, 4, 5}
+    "P3+K3": Graph(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    # triangle {0, 1, 2}, vertex 3 on 0, pendants 4 and 5 on 3
+    "stool": Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)]),
+    # complement of the domino, the 2x3 grid 0-1-2 over 3-4-5
+    "co-domino": Graph(6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (3, 5)]),
+}
 
 
 def definitional_violation(g: Graph) -> int | None:

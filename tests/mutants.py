@@ -76,19 +76,30 @@ MUTANTS = [
         "1 + _alpha(adj, mask & ~(adj[vbest] | bit))",
         ["tests/test_independence.py"],
     ),
-    # alpha's exclude branch also deletes the branching vertex's neighbours
-    (
-        "src/hhresidue/independence.py",
-        "_alpha(adj, mask ^ bit))",
-        "_alpha(adj, mask & ~(adj[vbest] | bit)))",
-        ["tests/test_independence.py"],
-    ),
     # graph6 parsing accepts set padding bits
     ("src/hhresidue/graph6.py", 'if "1" in bits[npairs:]:', "if False:", ["tests/test_graph6.py"]),
     # graph6 emits each column last pair first
     ("src/hhresidue/graph6.py", 'f"0{j}b")[::-1]', 'f"0{j}b")', ["tests/test_graph6.py"]),
     # graph6 parsing sets only each vertex's neighbours below it
     ("src/hhresidue/graph6.py", "adj[i] |= 1 << j", "pass", ["tests/test_graph6.py"]),
+    # the co-domino literal loses its edge 3-5
+    (
+        "src/hhresidue/recognition.py",
+        "(2, 3), (2, 4), (3, 5)]),",
+        "(2, 3), (2, 4)]),",
+        ["tests/test_catalog.py"],
+    ),
+    # K_{2,3} and K_{2,3}+ trade places in the table
+    (
+        "src/hhresidue/recognition.py",
+        '''    "K_{2,3}": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    # K_{2,3} plus the edge 2-3; the complement of K2 + P3
+    "K_{2,3}+": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),''',
+        '''    "K_{2,3}+": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+    # K_{2,3} plus the edge 2-3; the complement of K2 + P3
+    "K_{2,3}": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),''',
+        ["tests/test_catalog.py"],
+    ),
     # a new vertex may skip vertex 0 among those it must join
     (
         "src/hhresidue/enumeration.py",

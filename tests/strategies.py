@@ -26,6 +26,40 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def path(n: int) -> Graph:
+    """P_n: vertices 0..n-1, edges i - i+1."""
+    if n < 1:
+        raise ValueError("path needs at least one vertex")
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete(n: int) -> Graph:
+    if n < 1:
+        raise ValueError("complete graph needs at least one vertex")
+    return Graph(n, itertools.combinations(range(n), 2))
+
+
+def complete_bipartite(m: int, n: int) -> Graph:
+    """K_{m,n}: parts {0..m-1} and {m..m+n-1}."""
+    if m < 1 or n < 1:
+        raise ValueError("both parts need at least one vertex")
+    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
+def domino() -> Graph:
+    """Two 4-cycles sharing an edge: the 2x3 grid 0-1-2 over 3-4-5."""
+    return Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.adj[u] >> v & 1])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g on vertices 0..g.n-1 and h shifted to g.n..g.n+h.n-1."""
+    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8):
     """A random graph: uniform order in [min_n, max_n], arbitrary edge set."""

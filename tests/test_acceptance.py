@@ -7,7 +7,6 @@ import json
 import random
 import time
 
-from hhresidue.catalog import FORBIDDEN_SUBGRAPHS
 from hhresidue.cli import main
 from hhresidue.degseq import is_graphical, residue
 from hhresidue.enumeration import enumerate_graphs
@@ -19,7 +18,7 @@ from hhresidue.independence import (
     independence_number_bitmask,
     maxine_all_branches,
 )
-from hhresidue.recognition import is_strong_havel_hakimi_definitional
+from hhresidue.recognition import FORBIDDEN_SUBGRAPHS, is_strong_havel_hakimi_definitional
 
 from oracles import (
     induced_subgraph,
@@ -27,7 +26,7 @@ from oracles import (
     is_isomorphic,
     isomorphism_class_count_labeled,
 )
-from strategies import graphs_up_to
+from strategies import graphs_up_to, path
 
 
 def report(label: str, ok: bool):
@@ -94,8 +93,6 @@ def test_criterion_05_slow_extension_n8():
 
 
 def test_criterion_06_maxine_on_p5():
-    from hhresidue.catalog import path
-
     report("6 Maxine sizes on the 5-path", maxine_all_branches(path(5)) == (2, 3))
 
 

@@ -1,22 +1,15 @@
-"""Catalog encodings: counts, degree sequences, distinctness."""
+"""The forbidden-subgraph table: counts, degree sequences, distinctness,
+and each literal edge list against a construction from named graphs."""
 
 import itertools
 
 import pytest
 
-from hhresidue.catalog import (
-    FORBIDDEN_SUBGRAPHS,
-    co_domino,
-    complete,
-    complete_bipartite,
-    domino,
-    k23_plus,
-    path,
-)
-from hhresidue.graphs import complement
+from hhresidue.graphs import Graph
+from hhresidue.recognition import FORBIDDEN_SUBGRAPHS
 
 from oracles import is_isomorphic
-from strategies import cycle
+from strategies import complement, complete, complete_bipartite, cycle, disjoint_union, domino, path
 
 # (vertices, edges, degree sequence) for every forbidden member.
 FORBIDDEN_SHAPES = {
@@ -45,6 +38,25 @@ def test_forbidden_member_shape(name):
     assert g.degree_sequence() == degseq
 
 
+# The same nine graphs with the same labels, built from named graphs.
+CONSTRUCTIONS = {
+    "P5": path(5),
+    "4-pan": Graph(5, cycle(4).edges() + [(0, 4)]),
+    "K_{2,3}": complete_bipartite(2, 3),
+    "K_{2,3}+": Graph(5, complete_bipartite(2, 3).edges() + [(2, 3)]),
+    "kite": Graph(5, [e for e in complete(4).edges() if e != (2, 3)] + [(2, 4)]),
+    "2P3": disjoint_union(path(3), path(3)),
+    "P3+K3": disjoint_union(path(3), complete(3)),
+    "stool": Graph(6, disjoint_union(complete(3), complete_bipartite(1, 2)).edges() + [(0, 3)]),
+    "co-domino": complement(domino()),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_forbidden_table_matches_construction(name):
+    assert FORBIDDEN_SUBGRAPHS[name] == CONSTRUCTIONS[name]
+
+
 def test_forbidden_members_pairwise_distinct():
     members = list(FORBIDDEN_SUBGRAPHS.values())
     assert len(members) == 9
@@ -53,13 +65,11 @@ def test_forbidden_members_pairwise_distinct():
 
 
 def test_k23_plus_is_complement_of_k2_plus_p3():
-    from hhresidue.graphs import disjoint_union
-
-    assert is_isomorphic(k23_plus(), complement(disjoint_union(complete(2), path(3))))
+    assert is_isomorphic(FORBIDDEN_SUBGRAPHS["K_{2,3}+"], complement(disjoint_union(complete(2), path(3))))
 
 
 def test_co_domino_is_complement_of_domino():
-    assert co_domino() == complement(domino())
+    assert FORBIDDEN_SUBGRAPHS["co-domino"] == complement(domino())
     assert domino().degree_sequence() == (3, 3, 2, 2, 2, 2)
 
 

@@ -12,12 +12,11 @@ import sys
 
 import pytest
 
-from hhresidue.catalog import path
 from hhresidue.cli import CSV_COLUMNS, main
 from hhresidue.graph6 import emit_graph6
 from hhresidue.graphs import SCALE_MAX_N, Graph
 
-from strategies import cycle
+from strategies import cycle, path
 
 P5_G6 = emit_graph6(path(5))
 C5_G6 = emit_graph6(cycle(5))

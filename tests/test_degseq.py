@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 
 import hhresidue.degseq
-from hhresidue.catalog import complete
 from hhresidue.degseq import hh_reduce, is_graphical, residue
 from hhresidue.graphs import Graph
 from hhresidue.harness import GraphRecord
 
 from oracles import is_graphical_erdos_gallai
-from strategies import cycle, degree_term_lists, graphs
+from strategies import complete, cycle, degree_term_lists, graphs
 
 
 def step_subtracting_last_ties(seq):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 
 from hhresidue import enumeration
-from hhresidue.catalog import complete, path
 from hhresidue.enumeration import (
     _child_invariants,
     _match,
@@ -19,7 +18,7 @@ from hhresidue.graph6 import emit_graph6
 from hhresidue.graphs import Graph, iter_bits
 
 from oracles import induced_subgraph, is_isomorphic, isomorphism_class_count_labeled, to_networkx
-from strategies import cycle, degree_term_lists, graphs, graphs_up_to
+from strategies import complete, cycle, degree_term_lists, graphs, graphs_up_to, path
 
 
 def test_counts_up_to_6():

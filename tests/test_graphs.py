@@ -7,18 +7,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hhresidue.catalog import (
-    complete,
-    complete_bipartite,
-    k23_plus,
-    path,
-)
 from hhresidue.enumeration import enumerate_graphs, vertex_invariants
 from hhresidue.graphs import (
     SCALE_MAX_N,
     Graph,
-    complement,
-    disjoint_union,
     iter_bits,
 )
 from hhresidue.independence import (
@@ -27,10 +19,20 @@ from hhresidue.independence import (
     independence_number_bitmask,
     maxine_all_branches,
 )
-from hhresidue.recognition import is_strong_havel_hakimi_definitional
+from hhresidue.recognition import FORBIDDEN_SUBGRAPHS, is_strong_havel_hakimi_definitional
 
 from oracles import induced_subgraph, is_isomorphic
-from strategies import cycle, graphs, graphs_with_permutation, relabel
+from strategies import (
+    complement,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    graphs,
+    graphs_with_permutation,
+    path,
+    relabel,
+)
 
 
 def all_labeled_graphs(n):
@@ -119,7 +121,7 @@ def test_complement_k3():
 
 def test_complement_k2_plus_p3_is_k23_plus():
     g = complement(disjoint_union(complete(2), path(3)))
-    assert is_isomorphic(g, k23_plus())
+    assert is_isomorphic(g, FORBIDDEN_SUBGRAPHS["K_{2,3}+"])
 
 
 @given(graphs())

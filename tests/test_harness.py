@@ -7,7 +7,6 @@ import json
 import pytest
 
 from hhresidue import harness, recognition
-from hhresidue.catalog import FORBIDDEN_SUBGRAPHS, complete_bipartite, pan4, path
 from hhresidue.graph6 import parse_graph6
 from hhresidue.graphs import iter_bits
 from hhresidue.cli import main
@@ -18,10 +17,10 @@ from hhresidue.harness import (
     records_up_to,
     verify,
 )
-from hhresidue.recognition import definitional_violation
+from hhresidue.recognition import FORBIDDEN_SUBGRAPHS, definitional_violation
 
 from oracles import induced_subgraph, is_isomorphic
-from strategies import cycle, graphs_up_to
+from strategies import complete_bipartite, cycle, graphs_up_to, path
 
 
 def test_minimal_forbidden_up_to_5():
@@ -297,7 +296,7 @@ def test_c4_membership_helper():
     examples = [
         (cycle(4), {0, 1, 2, 3}),
         (path(4), set()),
-        (pan4(), {0, 1, 2, 3}),  # vertices 0..3 on the cycle, 4 pendant
+        (FORBIDDEN_SUBGRAPHS["4-pan"], {0, 1, 2, 3}),  # vertices 0..3 on the cycle, 4 pendant
     ]
     for g, expected in examples:
         assert {v for v in range(g.n) if on_c4_or_p5_center(g, v)} == expected

@@ -8,9 +8,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from hhresidue import independence
-from hhresidue.catalog import complete, path
 from hhresidue.degseq import residue
-from hhresidue.graphs import Graph, complement, disjoint_union, iter_bits
+from hhresidue.graphs import Graph, iter_bits
 from hhresidue.harness import on_c4_or_p5_center
 from hhresidue.independence import (
     common_mis_mask,
@@ -21,7 +20,7 @@ from hhresidue.independence import (
 )
 
 from oracles import to_networkx
-from strategies import cycle, graphs, graphs_up_to
+from strategies import complement, complete, cycle, disjoint_union, graphs, graphs_up_to, path
 
 
 def brute_alpha(g):

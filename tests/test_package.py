@@ -13,7 +13,6 @@ import pytest
 
 import hhresidue
 from hhresidue import enumeration, graphs, independence, recognition
-from hhresidue.catalog import stool
 
 
 def test_top_level_names_are_the_module_objects():
@@ -37,11 +36,10 @@ def run_probe(probe):
     return proc.stdout
 
 
-def test_import_loads_four_submodules():
+def test_import_loads_three_submodules():
     probe = "import sys, hhresidue; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'hhresidue')))"
     assert run_probe(probe).split() == [
         "hhresidue",
-        "hhresidue.catalog",
         "hhresidue.graphs",
         "hhresidue.independence",
         "hhresidue.recognition",
@@ -73,33 +71,30 @@ def test_copy_table_is_built_on_first_use_once():
     probe = (
         "import hhresidue\n"
         "from hhresidue import recognition\n"
-        "from hhresidue.catalog import path\n"
         "print(recognition._copy_tables.cache_info().currsize)\n"
-        "recognition.strong_hh_witness(path(5))\n"
-        "recognition.strong_hh_witness(path(6))\n"
+        "recognition.strong_hh_witness(hhresidue.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))\n"
+        "recognition.strong_hh_witness(hhresidue.Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))\n"
         "print(recognition._copy_tables.cache_info().currsize)\n"
     )
     assert run_probe(probe).split() == ["0", "1"]
 
 
-STOOL = stool()
+STOOL = recognition.FORBIDDEN_SUBGRAPHS["stool"]
 STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
 # each call runs one recursive search: _first_copy's extend,
 # _subset_sweep's extend, maxine_all_branches's explore and _match's
-# backtrack are inner functions; independence_number's _alpha is a
-# module-level function, so no closure can refer to it
+# backtrack are inner functions
 @pytest.mark.parametrize(
     "call",
     [
         lambda: recognition.strong_hh_witness(STOOL),
-        lambda: independence.independence_number(STOOL),
         lambda: independence.independence_number_bitmask(STOOL),
         lambda: independence.maxine_all_branches(STOOL),
         lambda: enumeration._match(STOOL, STOOL_INV, STOOL, STOOL_INV),
     ],
-    ids=["first-copy", "alpha", "subset-sweep", "maxine-branches", "match"],
+    ids=["first-copy", "subset-sweep", "maxine-branches", "match"],
 )
 def test_recursive_searches_leave_no_cyclic_garbage(call):
     """A recursive inner function refers to itself through its closure;

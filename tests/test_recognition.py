@@ -8,18 +8,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from hhresidue import recognition
-from hhresidue.catalog import (
-    FORBIDDEN_SUBGRAPHS,
-    complete,
-    complete_bipartite,
-    k23_plus,
-    p3_plus_k3,
-    path,
-    two_p3,
-)
 from hhresidue.degseq import hh_reduce
-from hhresidue.graphs import Graph, disjoint_union, iter_bits
+from hhresidue.graphs import Graph, iter_bits
 from hhresidue.recognition import (
+    FORBIDDEN_SUBGRAPHS,
     definitional_violation,
     is_matrogenic_config_free,
     is_strong_havel_hakimi_definitional,
@@ -34,7 +26,7 @@ from oracles import (
     is_isomorphic,
     to_networkx,
 )
-from strategies import cycle, graphs, graphs_up_to, relabel
+from strategies import complete, complete_bipartite, cycle, disjoint_union, graphs, graphs_up_to, path, relabel
 
 
 def pendant_on_c5():
@@ -105,15 +97,17 @@ def test_hh_deletion_mirrors_step(g):
 def test_witness_is_an_induced_copy():
     """K_{2,3}+ and P3+K3 each contain an earlier catalog graph as a
     subgraph (K_{2,3}, 2P3) but not as an induced one."""
-    assert set(complete_bipartite(2, 3).edges()) < set(k23_plus().edges())
-    assert strong_hh_witness(k23_plus()) == ("K_{2,3}+", (0, 1, 2, 3, 4))
-    assert set(two_p3().edges()) < set(p3_plus_k3().edges())
-    assert strong_hh_witness(p3_plus_k3()) == ("P3+K3", (0, 1, 2, 3, 4, 5))
+    k23, k23_plus = FORBIDDEN_SUBGRAPHS["K_{2,3}"], FORBIDDEN_SUBGRAPHS["K_{2,3}+"]
+    assert set(k23.edges()) < set(k23_plus.edges())
+    assert strong_hh_witness(k23_plus) == ("K_{2,3}+", (0, 1, 2, 3, 4))
+    two_p3, p3_plus_k3 = FORBIDDEN_SUBGRAPHS["2P3"], FORBIDDEN_SUBGRAPHS["P3+K3"]
+    assert set(two_p3.edges()) < set(p3_plus_k3.edges())
+    assert strong_hh_witness(p3_plus_k3) == ("P3+K3", (0, 1, 2, 3, 4, 5))
 
 
 def test_witness_prefers_smaller_subsets():
     # 2P3 on 0..5 comes first lexicographically, but a P5 is smaller
-    g = disjoint_union(two_p3(), path(5))
+    g = disjoint_union(FORBIDDEN_SUBGRAPHS["2P3"], path(5))
     assert strong_hh_witness(g) == ("P5", (6, 7, 8, 9, 10))
 
 
