@@ -12,18 +12,19 @@ is the triple (degree, triangles through v, sorted neighbour degrees). An
 isomorphism maps every vertex to one with the same triple, so isomorphic
 graphs have equal sorted lists. A candidate is dropped unless the new
 vertex has the least entry of its list (the cheap half of McKay's
-canonical augmentation). That list is computed once per parent and
-derived from it for each candidate: only the new vertex's neighbours and
-theirs get new entries, and a candidate whose new vertex has more
-triangles than a rival of its degree is dropped before any entry is
-built. The sweep is complete: the invariant is isomorphism-invariant, so
-every graph on n vertices is its least-invariant-vertex-deleted subgraph
-plus that vertex. The sorted list is a kept candidate's bucket key, and
-the candidate becomes a representative only when the matcher, a
+canonical augmentation). That list, which holds the parent's degrees, is
+computed once per parent and derived from it for each candidate: only the
+new vertex's neighbours and theirs get new entries, and a candidate whose
+new vertex has more triangles than a rival of its degree is dropped before
+any entry is built. The sweep is complete: the invariant is
+isomorphism-invariant, so every graph on n vertices is its
+least-invariant-vertex-deleted subgraph plus that vertex. The sorted list
+is a kept candidate's bucket key, and the candidate, still a plain
+adjacency tuple, is built as a :class:`Graph` only when the matcher, a
 backtracking search that maps each vertex only to vertices with the same
 triple, rejects every representative already in its bucket. Buckets live
-for one order only. Results are cached per order and listed in
-generation order, so repeated sweeps are cheap and deterministic.
+for one order only. Results are cached per order and listed in generation
+order, so repeated sweeps are cheap and deterministic.
 
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
@@ -54,28 +55,28 @@ def enumerate_graphs(n: int) -> list[Graph]:
         reps = [Graph(1)]
     else:
         reps = []
-        buckets: dict[tuple, list[tuple[Graph, list]]] = {}
+        buckets: dict[tuple, list[tuple[tuple[int, ...], list]]] = {}
         new_bit = 1 << (n - 1)
         for g in enumerate_graphs(n - 1):
             g_inv = vertex_invariants(g)
-            for pattern in _min_degree_patterns(g.degrees):
-                inv = _child_invariants(g, g_inv, pattern)
+            g_deg = [t[0] for t in g_inv]
+            for pattern in _min_degree_patterns(g_deg):
+                inv = _child_invariants(g.adj, g_deg, g_inv, pattern)
                 if inv is None:
                     continue
-                adj = list(g.adj)
-                adj.append(pattern)
+                adj = [*g.adj, pattern]
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
-                h = Graph._from_adj(n, tuple(adj))
+                adj = tuple(adj)
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])
-                if not any(_match(h, inv, r, r_inv) for r, r_inv in bucket):
-                    bucket.append((h, inv))
-                    reps.append(h)
+                if not any(_match(adj, inv, r, r_inv) for r, r_inv in bucket):
+                    bucket.append((adj, inv))
+                    reps.append(Graph._from_adj(n, adj))
     _cache[n] = reps
     return reps
 
 
-def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
+def _min_degree_patterns(degrees: list[int]) -> list[int]:
     """Every neighbourhood mask that makes a new vertex, attached to a
     graph with these degrees, a minimum-degree vertex of the result, in
     ascending order."""
@@ -103,18 +104,17 @@ def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
-def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
-    """The vertex_invariants list of g plus a new vertex adjacent to the
-    pattern, derived from g's list g_inv, or None unless the new vertex
-    has the least entry; the pattern must leave it of minimum degree. A
-    pattern vertex gains one degree and a triangle per pattern neighbour,
+def _child_invariants(adj: tuple[int, ...], g_deg: list[int], g_inv: list, pattern: int) -> list | None:
+    """The vertex_invariants list of parent adj, with degrees g_deg and list
+    g_inv, plus a new vertex adjacent to the pattern, or None unless the new
+    vertex has the least entry; the pattern must leave it of minimum degree.
+    A pattern vertex gains one degree and a triangle per pattern neighbour,
     the new vertex has one triangle per edge inside the pattern, and only
     the pattern's vertices and their neighbours get new neighbour degrees."""
-    adj = g.adj
     inside = iter_bits(pattern)
     gained = {u: (adj[u] & pattern).bit_count() for u in inside}
     k, tri = len(inside), sum(gained.values()) // 2
-    deg = list(g.degrees)
+    deg = g_deg.copy()
     for u in inside:
         deg[u] += 1
     # its rivals have degree k: compare (degree, triangles) before any tuple
@@ -122,7 +122,7 @@ def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
         if d == k and g_inv[u][1] + gained.get(u, 0) < tri:
             return None
     deg.append(k)
-    new_bit = 1 << g.n
+    new_bit = 1 << len(adj)
     near = 0
     inv = g_inv.copy()
     for u in inside:
@@ -135,12 +135,12 @@ def _child_invariants(g: Graph, g_inv: list, pattern: int) -> list | None:
     return inv if inv[-1] == min(inv) else None
 
 
-def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
-    """Backtracking search for an isomorphism from g to h that maps each
-    vertex to one with the same invariant, checking adjacency to the
-    vertices already mapped. ig and ih are the graphs' vertex_invariants
-    and must be equal as sorted lists."""
-    n = g.n
+def _match(g: tuple[int, ...], ig: list, h: tuple[int, ...], ih: list) -> bool:
+    """Backtracking search for an isomorphism between the adjacency tuples
+    g and h that maps each vertex to one with the same invariant, checking
+    adjacency to the vertices already mapped. ig and ih are the graphs'
+    vertex_invariants and must be equal as sorted lists."""
+    n = len(g)
     by_class: dict[tuple, list[int]] = {}
     for w in range(n):
         by_class.setdefault(ih[w], []).append(w)
@@ -154,11 +154,11 @@ def _match(g: Graph, ig: list, h: Graph, ih: list) -> bool:
         if i == n:
             return True
         v = order[i]
-        av = g.adj[v]
+        av = g[v]
         for w in by_class[ig[v]]:
             if used[w]:
                 continue
-            hw = h.adj[w]
+            hw = h[w]
             ok = True
             for j in range(i):
                 u = order[j]

@@ -1,11 +1,11 @@
 """Immutable simple graphs with bitmask adjacency, built for exact
 small-graph combinatorics.
 
-Each vertex's neighborhood is stored as an int bitmask, so induced-subgraph
-degrees, independence checks, and subset scans reduce to popcounts.
-:func:`iter_bits` turns a vertex-set mask into an ascending tuple of
-vertices; for masks below 2^9 (every vertex set of a graph of order <= 9)
-it reads a table built at import.
+A graph is its order and one int bitmask per vertex, its neighborhood;
+degrees, induced-subgraph degrees, independence checks, and subset scans
+reduce to popcounts. :func:`iter_bits` turns a vertex-set mask into an
+ascending tuple of vertices; for masks below 2^9 (every vertex set of a
+graph of order <= 9) it reads a table built at import.
 
 Every exact computation in the package is exponential in the order (the
 class scans are a steep polynomial), so each stops at a bound held in the
@@ -67,10 +67,9 @@ class Graph:
     Attributes:
         n: number of vertices.
         adj: tuple of neighborhood bitmasks, one per vertex.
-        degrees: tuple of vertex degrees (indexed by vertex).
     """
 
-    __slots__ = ("n", "adj", "degrees")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -85,7 +84,6 @@ class Graph:
             masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(masks))
-        object.__setattr__(self, "degrees", tuple(m.bit_count() for m in masks))
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -93,7 +91,6 @@ class Graph:
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "degrees", tuple(m.bit_count() for m in adj))
         return g
 
     def __setattr__(self, name, value):
@@ -117,8 +114,10 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if u < v]
 
     @property
-    def edge_count(self) -> int:
-        return sum(self.degrees) // 2
+    def degrees(self) -> tuple[int, ...]:
+        """Vertex degrees, indexed by vertex, counted from adj on each
+        access: bind them once before a loop that reads them."""
+        return tuple(m.bit_count() for m in self.adj)
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees sorted from largest to smallest."""

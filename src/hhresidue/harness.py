@@ -248,14 +248,15 @@ def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
     maximum independent sets lies on an induced 4-cycle or is the center
     of an induced 5-path. Edgeless graphs are not counted."""
     g = rec.graph
-    if g.edge_count == 0:
+    if not any(g.adj):
         return None
-    dmax = max(g.degrees)
+    deg = g.degrees
+    dmax = max(deg)
     return [
         f"vertex {v} is in every maximum independent set but on no "
         f"induced C4 and not a P5 center"
         for v in iter_bits(rec.mis)
-        if g.degrees[v] == dmax and not on_c4_or_p5_center(g, v)
+        if deg[v] == dmax and not on_c4_or_p5_center(g, v)
     ]
 
 

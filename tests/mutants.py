@@ -107,6 +107,24 @@ MUTANTS = [
         "if d == k - 1 and u)",
         ["tests/test_enumeration.py"],
     ),
+    # a candidate is dropped for a rival of its degree with as many triangles
+    (
+        "src/hhresidue/enumeration.py",
+        "g_inv[u][1] + gained.get(u, 0) < tri:",
+        "g_inv[u][1] + gained.get(u, 0) <= tri:",
+        ["tests/test_enumeration.py"],
+    ),
+    # a pattern vertex with a pattern neighbour is rebuilt as if the new vertex were absent
+    ("src/hhresidue/enumeration.py", "iter_bits(near & ~pattern)", "iter_bits(near)", ["tests/test_enumeration.py"]),
+    # the matcher maps by invariant alone, without checking adjacency
+    (
+        "src/hhresidue/enumeration.py",
+        "if (av >> u & 1) != (hw >> mapping[u] & 1):",
+        "if False:",
+        ["tests/test_enumeration.py"],
+    ),
+    # a parent's degrees are read as its triangle counts
+    ("src/hhresidue/enumeration.py", "[t[0] for t in g_inv]", "[t[1] for t in g_inv]", ["tests/test_enumeration.py"]),
 ]
 
 

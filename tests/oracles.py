@@ -87,7 +87,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         return False
     ig, ih = vertex_invariants(g), vertex_invariants(h)
-    return sorted(ig) == sorted(ih) and _match(g, ig, h, ih)
+    return sorted(ig) == sorted(ih) and _match(g.adj, ig, h.adj, ih)
 
 
 def isomorphism_class_count_labeled(n: int) -> int:

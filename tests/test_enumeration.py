@@ -155,7 +155,7 @@ def _check_children(g):
     for p in _min_degree_patterns(g.degrees):
         h = Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(p)])
         inv = vertex_invariants(h)
-        assert _child_invariants(g, g_inv, p) == (inv if inv[-1] == min(inv) else None), (g, p)
+        assert _child_invariants(g.adj, list(g.degrees), g_inv, p) == (inv if inv[-1] == min(inv) else None), (g, p)
 
 
 def test_child_invariants_of_every_parent():
@@ -181,3 +181,22 @@ def test_invariants_computed_once_per_parent(monkeypatch):
     monkeypatch.setattr(enumeration, "vertex_invariants", counting)
     enumerate_graphs(6)
     assert seen == [g for n in range(1, 6) for g in enumeration._cache[n]]
+
+
+def test_one_graph_built_per_class(monkeypatch):
+    """Building orders 2..6 from a cold cache wraps an adjacency tuple in
+    a Graph once per class (2 + 4 + 11 + 34 + 156), not once per kept
+    candidate: each candidate stays a tuple until the matcher has ruled
+    out every representative in its bucket."""
+    monkeypatch.setattr(enumeration, "_cache", {})
+    built = []
+    from_adj = Graph._from_adj
+
+    def counting(n, adj):
+        built.append(adj)
+        return from_adj(n, adj)
+
+    monkeypatch.setattr(Graph, "_from_adj", counting)
+    enumerate_graphs(6)
+    assert len(built) == 207
+    assert built == [g.adj for n in range(2, 7) for g in enumeration._cache[n]]

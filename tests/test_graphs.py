@@ -78,7 +78,7 @@ def test_from_edges_path():
 def test_from_edges_edgeless():
     g = Graph(3, [])
     assert g.degrees == (0, 0, 0)
-    assert g.edge_count == 0
+    assert len(g.edges()) == 0
 
 
 def test_from_edges_dumbbell():
@@ -89,7 +89,7 @@ def test_from_edges_dumbbell():
 
 def test_from_edges_duplicates_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.edge_count == 1
+    assert len(g.edges()) == 1
 
 
 def test_from_edges_rejects_out_of_range():
@@ -110,6 +110,8 @@ def test_graph_is_immutable():
         g.n = 7
     with pytest.raises(AttributeError):
         del g.adj
+    with pytest.raises(AttributeError):
+        g.degrees = ()
 
 
 # --- complement, union ------------------------------------------------------

@@ -92,7 +92,7 @@ STOOL_INV = enumeration.vertex_invariants(STOOL)
         lambda: recognition.strong_hh_witness(STOOL),
         lambda: independence.independence_number_bitmask(STOOL),
         lambda: independence.maxine_all_branches(STOOL),
-        lambda: enumeration._match(STOOL, STOOL_INV, STOOL, STOOL_INV),
+        lambda: enumeration._match(STOOL.adj, STOOL_INV, STOOL.adj, STOOL_INV),
     ],
     ids=["first-copy", "subset-sweep", "maxine-branches", "match"],
 )

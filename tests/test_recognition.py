@@ -271,9 +271,10 @@ def test_no_graph_on_at_most_four_vertices_fails():
             checked += 1
             for mask in range(1, 1 << n):
                 sub = induced_subgraph(g, iter_bits(mask))
-                dmax = max(sub.degrees)
+                deg = sub.degrees
+                dmax = max(deg)
                 for v in range(sub.n):
-                    assert sub.degrees[v] < dmax or has_hh_property(sub, v), (g, mask, v)
+                    assert deg[v] < dmax or has_hh_property(sub, v), (g, mask, v)
     assert checked == 76
 
 
@@ -295,8 +296,9 @@ def test_first_violation_is_full_set_iff_minimal_forbidden(g):
     if first is not None:
         # a maximum-degree vertex of the induced subgraph lacks the property
         sub = induced_subgraph(g, iter_bits(first))
-        dmax = max(sub.degrees)
-        assert any(sub.degrees[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n))
+        deg = sub.degrees
+        dmax = max(deg)
+        assert any(deg[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n))
 
 
 def first_violation_ref(g):
@@ -304,8 +306,9 @@ def first_violation_ref(g):
     subgraph has a maximum-degree vertex lacking the property."""
     for mask in range(1, 1 << g.n):
         sub = induced_subgraph(g, iter_bits(mask))
-        dmax = max(sub.degrees)
-        if any(sub.degrees[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n)):
+        deg = sub.degrees
+        dmax = max(deg)
+        if any(deg[v] == dmax and not has_hh_property(sub, v) for v in range(sub.n)):
             return mask
     return None
 
