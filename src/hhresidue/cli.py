@@ -66,7 +66,7 @@ def analyze_graph(g: Graph, strategy: str = "all-branches", seed: int | None = N
     return {
         "graph6": rec.graph6,
         "n": n,
-        "degree_sequence": list(g.degree_sequence()),
+        "degree_sequence": list(rec.degree_sequence),
         "residue": rec.residue,
         "alpha": rec.alpha if n <= SCALE_MAX_N["alpha"] else SKIPPED,
         "maxine_min": maxine_min,

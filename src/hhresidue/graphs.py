@@ -19,8 +19,8 @@ from collections.abc import Iterable
 
 # Largest supported order of each exact computation.
 SCALE_MAX_N: dict[str, int] = {
-    "alpha": 24,  # independence.independence_number (plain branching)
-    "subset sweep": 20,  # independence: exhaustive alpha, common-MIS mask
+    "alpha": 24,  # independence: alpha and alpha(G - v) by plain branching
+    "subset sweep": 20,  # independence.independence_number_bitmask (reference)
     "maxine branching": 9,  # independence.maxine_all_branches
     "definitional": 12,  # recognition.definitional_violation
     "enumeration": 8,  # enumeration.enumerate_graphs, hence verify --max-n

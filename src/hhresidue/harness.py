@@ -2,12 +2,12 @@
 on, over one shared per-graph record.
 
 A :class:`GraphRecord` holds the facts about one graph that the checks and
-``analyze`` read: graph6, residue, alpha, the Maxine sizes, the
-forbidden-subgraph witness, the first definitional violation, threshold
-and configuration-free membership, and the vertices common to every
-maximum independent set. Each is computed on first access and kept.
-Records are cached per order, like the enumeration itself, so a run of
-several checks computes each fact once per isomorphism class.
+``analyze`` read: graph6, degree sequence, residue, alpha, the Maxine
+sizes, the forbidden-subgraph witness, the first definitional violation,
+and threshold and configuration-free membership. Each is computed on
+first access and kept. Records are cached per order, like the
+enumeration itself, so a run of several checks computes each fact once
+per isomorphism class.
 
 The first definitional violation is the one fact that reuses answers to
 smaller graphs, by the prefix rule of
@@ -46,7 +46,7 @@ from .degseq import residue
 from .enumeration import enumerate_graphs
 from .graph6 import emit_graph6
 from .graphs import Graph, iter_bits
-from .independence import independence_number, common_mis_mask, maxine_all_branches
+from .independence import independence_number, independence_number_without, maxine_all_branches
 from .recognition import (
     FORBIDDEN_SUBGRAPHS,
     definitional_violation,
@@ -69,8 +69,12 @@ class GraphRecord:
         return emit_graph6(self.graph)
 
     @cached_property
+    def degree_sequence(self) -> tuple[int, ...]:
+        return self.graph.degree_sequence()
+
+    @cached_property
     def residue(self) -> int:
-        return residue(self.graph.degree_sequence())
+        return residue(self.degree_sequence)
 
     @cached_property
     def alpha(self) -> int:
@@ -96,11 +100,6 @@ class GraphRecord:
     @cached_property
     def config_free(self) -> bool:
         return is_matrogenic_config_free(self.graph)
-
-    @cached_property
-    def mis(self) -> int:
-        """Bitmask of the vertices in every maximum independent set."""
-        return common_mis_mask(self.graph)
 
     @property
     def minimal_forbidden(self) -> bool:
@@ -246,7 +245,9 @@ def on_c4_or_p5_center(g: Graph, v: int) -> bool:
 def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
     """With at least one edge: any maximum-degree vertex belonging to all
     maximum independent sets lies on an induced 4-cycle or is the center
-    of an induced 5-path. Edgeless graphs are not counted."""
+    of an induced 5-path. Edgeless graphs are not counted. v lies in every
+    maximum independent set exactly when alpha(G - v) < alpha(G), asked
+    last, for the few vertices that could break the lemma."""
     g = rec.graph
     if not any(g.adj):
         return None
@@ -255,8 +256,10 @@ def _lemma_c4_or_p5(rec: GraphRecord) -> list[str] | None:
     return [
         f"vertex {v} is in every maximum independent set but on no "
         f"induced C4 and not a P5 center"
-        for v in iter_bits(rec.mis)
-        if deg[v] == dmax and not on_c4_or_p5_center(g, v)
+        for v in range(g.n)
+        if deg[v] == dmax
+        and not on_c4_or_p5_center(g, v)
+        and independence_number_without(g, v) < rec.alpha
     ]
 
 

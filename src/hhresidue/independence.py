@@ -4,11 +4,12 @@ heuristic.
 Two exact routes to the independence number cross-check each other:
 plain branching on a maximum-degree vertex once no vertex of degree 0
 or 1 is left, and an exhaustive sweep over every independent set, grown
-depth first one higher vertex at a time, which also gives the vertices
-common to every maximum independent set. Maxine can be run once with a
-fixed tie-breaking strategy, giving its deletion order (the survivors
-are the vertices not deleted), or branched over every choice of
-maximum-degree vertex, collecting the full set of achievable
+depth first one higher vertex at a time, kept only as the reference.
+Branching also tells whether a vertex v lies in every maximum
+independent set: exactly when alpha(G - v) < alpha(G). Maxine can be
+run once with a fixed tie-breaking strategy, giving its deletion order
+(the survivors are the vertices not deleted), or branched over every
+choice of maximum-degree vertex, collecting the full set of achievable
 independent-set sizes. Maxine's branching skips what it can predict
 exactly: at maximum degree 1 the residual graph is a matching plus
 isolated vertices, so every run ends at one size, and of tied candidates
@@ -69,44 +70,31 @@ def _alpha(adj: tuple[int, ...], mask: int) -> int:
     return size + max(1 + _alpha(adj, mask & ~(adj[vbest] | bit)), _alpha(adj, mask ^ bit))
 
 
+def independence_number_without(g: Graph, v: int) -> int:
+    """alpha(g - v), by the branching route; less than alpha(g) exactly
+    when v lies in every maximum independent set of g."""
+    check_order("alpha", g.n)
+    return _alpha(g.adj, ((1 << g.n) - 1) ^ 1 << v)
+
+
 def independence_number_bitmask(g: Graph) -> int:
-    """Exhaustive oracle: visit every independent set (see _subset_sweep).
+    """Exhaustive oracle: visit every independent set once, depth first.
     Independent of the branching route."""
-    return _subset_sweep(g)[0]
-
-
-def common_mis_mask(g: Graph) -> int:
-    """Bitmask of the vertices lying in every maximum independent set: the
-    AND of the maximum sets met by the subset sweep."""
-    return _subset_sweep(g)[1]
-
-
-def _subset_sweep(g: Graph) -> tuple[int, int]:
-    """The independence number and the AND of the maximum independent sets,
-    by visiting every independent set once, depth first: a set is extended
-    by each higher vertex adjacent to none of its members. A maximum set
-    has no such vertex left, so only those sets are compared."""
     check_order("subset sweep", g.n)
-    adj = g.adj
-    best, common = 0, (1 << g.n) - 1
+    return _largest_extension(g.adj, (1 << g.n) - 1)
 
-    def extend(chosen: int, size: int, cand: int) -> None:
-        nonlocal best, common
-        if not cand:
-            if size > best:
-                best, common = size, chosen
-            elif size == best:
-                common &= chosen
-            return
-        size += 1
-        for v in iter_bits(cand):
-            bit = 1 << v
-            # -(bit << 1) keeps the bits above v
-            extend(chosen | bit, size, cand & ~adj[v] & -(bit << 1))
 
-    extend(0, 0, (1 << g.n) - 1)
-    del extend  # the closure refers to itself: free it without the cyclic collector
-    return best, common
+def _largest_extension(adj: tuple[int, ...], cand: int) -> int:
+    """The largest number of vertices of cand that extend the current set:
+    a set is extended by each higher vertex adjacent to none of its
+    members, so each independent set is visited once."""
+    best = 0
+    for v in iter_bits(cand):
+        # -(2 << v) keeps the bits above v
+        size = _largest_extension(adj, cand & ~adj[v] & -(2 << v))
+        if size >= best:
+            best = size + 1
+    return best
 
 
 def _max_degree_candidates(adj: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
@@ -169,32 +157,30 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
     same sizes. No open neighbourhood equals another vertex's closed one,
     so one set holds both kinds of key."""
     check_order("maxine branching", g.n)
-    adj = g.adj
-    memo: dict[int, int] = {}
+    return iter_bits(_maxine_sizes(g.adj, (1 << g.n) - 1, {}))
 
-    def explore(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        dmax, cands = _max_degree_candidates(adj, mask)
-        if dmax <= 0:
-            sizes = 1 << mask.bit_count()
-        elif dmax == 1:
-            sizes = 1 << (mask.bit_count() - len(cands) // 2)
-        else:
-            sizes = 0
-            seen: set[int] = set()
-            for v in cands:
-                bit = 1 << v
-                nbrs = adj[v] & mask
-                if nbrs in seen or nbrs | bit in seen:
-                    continue  # a twin of a vertex already explored
-                seen.add(nbrs)
-                seen.add(nbrs | bit)
-                sizes |= explore(mask ^ bit)
-        memo[mask] = sizes
-        return sizes
 
-    sizes = explore((1 << g.n) - 1)
-    del explore  # as in _subset_sweep
-    return iter_bits(sizes)
+def _maxine_sizes(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
+    """The sizes Maxine can reach from the residual set mask, as a mask
+    with bit s set for each size s."""
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    dmax, cands = _max_degree_candidates(adj, mask)
+    if dmax <= 0:
+        sizes = 1 << mask.bit_count()
+    elif dmax == 1:
+        sizes = 1 << (mask.bit_count() - len(cands) // 2)
+    else:
+        sizes = 0
+        seen: set[int] = set()
+        for v in cands:
+            bit = 1 << v
+            nbrs = adj[v] & mask
+            if nbrs in seen or nbrs | bit in seen:
+                continue  # a twin of a vertex already explored
+            seen.add(nbrs)
+            seen.add(nbrs | bit)
+            sizes |= _maxine_sizes(adj, mask ^ bit, memo)
+    memo[mask] = sizes
+    return sizes

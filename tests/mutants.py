@@ -125,6 +125,30 @@ MUTANTS = [
     ),
     # a parent's degrees are read as its triangle counts
     ("src/hhresidue/enumeration.py", "[t[0] for t in g_inv]", "[t[1] for t in g_inv]", ["tests/test_enumeration.py"]),
+    # the lemma holds v in every maximum independent set when alpha(G - v) = alpha(G)
+    (
+        "src/hhresidue/harness.py",
+        "independence_number_without(g, v) < rec.alpha",
+        "independence_number_without(g, v) <= rec.alpha",
+        ["tests/test_harness.py"],
+    ),
+    # the reference sweep extends a set by a neighbour of its last vertex
+    ("src/hhresidue/independence.py", "cand & ~adj[v] & -(2 << v)", "cand & -(2 << v)", ["tests/test_independence.py"]),
+    # alpha(G - v) keeps v
+    (
+        "src/hhresidue/independence.py",
+        "_alpha(g.adj, ((1 << g.n) - 1) ^ 1 << v)",
+        "_alpha(g.adj, (1 << g.n) - 1)",
+        ["tests/test_independence.py"],
+    ),
+    # the histogram step lowers the needed terms of a level to that same level
+    ("src/hhresidue/degseq.py", "count[level - 1] += need", "count[level] += need", ["tests/test_degseq.py"]),
+    # the walk moves a whole level that holds exactly the terms still needed
+    ("src/hhresidue/degseq.py", "while count[level] < need:", "while count[level] <= need:", ["tests/test_degseq.py"]),
+    # the terms carried from the level above replace, not join, the level's kept terms
+    ("src/hhresidue/degseq.py", "count[level] += carry - need", "count[level] += carry", ["tests/test_degseq.py"]),
+    # a largest term equal to the number of terms passes the first check
+    ("src/hhresidue/degseq.py", "if top > len(terms) - 1:", "if top > len(terms):", ["tests/test_degseq.py"]),
 ]
 
 

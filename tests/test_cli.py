@@ -167,6 +167,18 @@ def test_analyze_single_strategy(tmp_path, capsys):
     assert rec["maxine_min"] == rec["maxine_max"] == 3
 
 
+def test_analyze_sorts_each_rows_degrees_once(tmp_path, capsys, monkeypatch):
+    """The row's degree sequence and its residue read one sequence."""
+    calls = []
+    real = Graph.degree_sequence
+    monkeypatch.setattr(Graph, "degree_sequence", lambda g: calls.append(g) or real(g))
+    src = write_lines(tmp_path, [P5_G6, emit_graph6(cycle(6))])
+    code, out, _ = run(capsys, "analyze", "--input", src)
+    assert code == 0
+    assert [json.loads(line)["degree_sequence"] for line in out.splitlines()] == [[2, 2, 2, 1, 1], [2] * 6]
+    assert len(calls) == 2
+
+
 def test_analyze_skips_out_of_scale_fields(tmp_path, capsys):
     big = emit_graph6(path(12))  # beyond the all-branches bound
     src = write_lines(tmp_path, [big])

@@ -14,9 +14,9 @@ from hhresidue.graphs import (
     iter_bits,
 )
 from hhresidue.independence import (
-    common_mis_mask,
     independence_number,
     independence_number_bitmask,
+    independence_number_without,
     maxine_all_branches,
 )
 from hhresidue.recognition import FORBIDDEN_SUBGRAPHS, is_strong_havel_hakimi_definitional
@@ -255,7 +255,7 @@ SCALE_CASES = [
         "subset sweep", lambda n: independence_number_bitmask(complete(n)), None,
         id="subset-sweep-alpha",
     ),
-    pytest.param("subset sweep", lambda n: common_mis_mask(complete(n)), None, id="subset-sweep-mis"),
+    pytest.param("alpha", lambda n: independence_number_without(complete(n), 0), None, id="alpha-without"),
     pytest.param("maxine branching", lambda n: maxine_all_branches(complete(n)), None, id="maxine"),
     pytest.param(
         "definitional", lambda n: is_strong_havel_hakimi_definitional(complete(n)), None,

@@ -118,7 +118,7 @@ FAILING_RECORDS = [
     (
         "lemma-c4-p5",
         "Bg",
-        {"mis": 0b010},
+        {"alpha": 3},
         ["vertex 1 is in every maximum independent set but on no induced C4 and not a P5 center"],
     ),
     ("class-chain", "Bg", {"config_free": False}, ["threshold graph contains the configuration"]),
@@ -188,6 +188,19 @@ def test_checks_share_one_record_per_class(monkeypatch):
     for theorem_id in THEOREM_CHECKS:
         verify(theorem_id, 6)
     assert len(scanned) == 208
+
+
+def test_lemma_asks_alpha_only_of_possible_violators(monkeypatch):
+    """The lemma's predicate asks alpha(G - v) last, only of a maximum-degree
+    vertex on no induced C4 and centring no induced P5: 1,149 times over
+    the 1,245 classes of order <= 7 with an edge."""
+    calls = []
+    real = harness.independence_number_without
+    monkeypatch.setattr(harness, "_records", {})
+    monkeypatch.setattr(harness, "independence_number_without", lambda g, v: calls.append(v) or real(g, v))
+    report = verify("lemma-c4-p5", 7)
+    assert report["passed"] and report["graphs_checked"] == 1245
+    assert len(calls) == 1149
 
 
 def test_inherited_facts_equal_direct():

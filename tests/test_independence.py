@@ -12,14 +12,14 @@ from hhresidue.degseq import residue
 from hhresidue.graphs import Graph, iter_bits
 from hhresidue.harness import on_c4_or_p5_center
 from hhresidue.independence import (
-    common_mis_mask,
     independence_number,
     independence_number_bitmask,
+    independence_number_without,
     maxine_all_branches,
     maxine_run,
 )
 
-from oracles import to_networkx
+from oracles import induced_subgraph, to_networkx
 from strategies import complement, complete, cycle, disjoint_union, graphs, graphs_up_to, path
 
 
@@ -166,11 +166,18 @@ def test_alpha_of_forests_matches_networkx_matching():
 # --- vertices common to every maximum independent set ----------------------
 
 
+def common_mis(g):
+    """Bitmask of the vertices v with alpha(g - v) < alpha(g): those lying
+    in every maximum independent set."""
+    alpha = independence_number(g)
+    return sum(1 << v for v in range(g.n) if independence_number_without(g, v) < alpha)
+
+
 def test_common_mis_examples():
-    assert common_mis_mask(cycle(4)) == 0
-    assert common_mis_mask(path(5)) == 0b10101
-    assert common_mis_mask(complete(3)) == 0
-    assert common_mis_mask(Graph(3)) == 0b111
+    assert common_mis(cycle(4)) == 0
+    assert common_mis(path(5)) == 0b10101
+    assert common_mis(complete(3)) == 0
+    assert common_mis(Graph(3)) == 0b111
 
 
 def test_common_mis_matches_networkx_on_classes_up_to_7():
@@ -184,7 +191,16 @@ def test_common_mis_matches_networkx_on_classes_up_to_7():
         cliques = list(nx.find_cliques(nx.complement(to_networkx(g))))
         size = max(map(len, cliques))
         common = set(range(g.n)).intersection(*(c for c in cliques if len(c) == size))
-        assert common_mis_mask(g) == sum(1 << v for v in common), g
+        assert common_mis(g) == sum(1 << v for v in common), g
+
+
+@given(graphs(max_n=12))
+def test_alpha_without_matches_induced_subgraph(g):
+    """alpha(g - v) by branching on the mask equals the exhaustive sweep on
+    the subgraph induced by the other vertices, for every vertex v."""
+    for v in range(g.n):
+        others = [u for u in range(g.n) if u != v]
+        assert independence_number_without(g, v) == independence_number_bitmask(induced_subgraph(g, others))
 
 
 def brute_alpha_and_common(g):
@@ -207,7 +223,7 @@ def brute_alpha_and_common(g):
 def test_exhaustive_routes_match_combinations(g):
     alpha, common = brute_alpha_and_common(g)
     assert independence_number_bitmask(g) == alpha
-    assert common_mis_mask(g) == common
+    assert common_mis(g) == common
 
 
 # --- Maxine, single runs ---------------------------------------------------

@@ -83,18 +83,15 @@ STOOL = recognition.FORBIDDEN_SUBGRAPHS["stool"]
 STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
-# each call runs one recursive search: _first_copy's extend,
-# _subset_sweep's extend, maxine_all_branches's explore and _match's
+# each call runs one recursive search: _first_copy's extend and _match's
 # backtrack are inner functions
 @pytest.mark.parametrize(
     "call",
     [
         lambda: recognition.strong_hh_witness(STOOL),
-        lambda: independence.independence_number_bitmask(STOOL),
-        lambda: independence.maxine_all_branches(STOOL),
         lambda: enumeration._match(STOOL.adj, STOOL_INV, STOOL.adj, STOOL_INV),
     ],
-    ids=["first-copy", "subset-sweep", "maxine-branches", "match"],
+    ids=["first-copy", "match"],
 )
 def test_recursive_searches_leave_no_cyclic_garbage(call):
     """A recursive inner function refers to itself through its closure;
