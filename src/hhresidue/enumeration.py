@@ -136,9 +136,8 @@ def _child_invariants(adj: tuple[int, ...], g_deg: list[int], g_inv: list, patte
 
 
 def _match(g: tuple[int, ...], ig: list, h: tuple[int, ...], ih: list) -> bool:
-    """Backtracking search for an isomorphism between the adjacency tuples
-    g and h that maps each vertex to one with the same invariant, checking
-    adjacency to the vertices already mapped. ig and ih are the graphs'
+    """True iff an isomorphism maps the adjacency tuple g onto h and each
+    vertex to one with the same invariant; ig and ih are the graphs'
     vertex_invariants and must be equal as sorted lists."""
     n = len(g)
     by_class: dict[tuple, list[int]] = {}
@@ -146,34 +145,27 @@ def _match(g: tuple[int, ...], ig: list, h: tuple[int, ...], ih: list) -> bool:
         by_class.setdefault(ih[w], []).append(w)
     # map rare classes first
     order = sorted(range(n), key=lambda v: (len(by_class[ig[v]]), ig[v], v))
+    return _extend_match(g, h, order, [by_class[ig[v]] for v in order], [])
 
-    mapping = [-1] * n
-    used = [False] * n
 
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        av = g[v]
-        for w in by_class[ig[v]]:
-            if used[w]:
-                continue
-            hw = h[w]
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (av >> u & 1) != (hw >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    found = backtrack(0)
-    del backtrack  # the closure refers to itself: free it without the cyclic collector
-    return found
+def _extend_match(g: tuple, h: tuple, order: list[int], cands: list, image: list[int]) -> bool:
+    """_match's backtracking: order[j] maps to image[j] and may map only
+    into cands[j]. Each position takes the first unused candidate whose
+    adjacencies to the images so far agree; False leaves image unchanged."""
+    i = len(image)
+    if i == len(order):
+        return True
+    av = g[order[i]]
+    for w in cands[i]:
+        if w in image:
+            continue
+        hw = h[w]
+        for j in range(i):
+            if (av >> order[j] & 1) != (hw >> image[j] & 1):
+                break
+        else:
+            image.append(w)
+            if _extend_match(g, h, order, cands, image):
+                return True
+            image.pop()
+    return False

@@ -167,52 +167,52 @@ def _copy_tables() -> tuple:
     )
 
 
-def _first_copy(adj, n: int, k: int, prefixes: list[set[int]], full: dict[int, str]):
-    """First k-subset of the n vertices, in lexicographic order, that
-    induces a copy in full, as (name, sorted vertices), or None; k >= 1.
-
-    Subsets grow one vertex at a time, and the code of the chosen prefix
-    (see _copy_tables) grows by the new vertex's row of adjacencies to the
-    vertices before it. One rows list serves the whole call: rows[w] holds
-    w's row, one bit per position. Choosing v at position m sets bit m in
-    the rows of v's neighbours above v, and clears it again once the
-    subsets extending that choice are done; later positions hold only
-    vertices above v, so no other row is read. A prefix whose code is not
-    in the set for its length begins no labelled copy, so it is dropped
-    with every subset extending it."""
-    chosen: list[int] = []
-    rows = [0] * n
+def _first_copy(adj, k: int, prefixes: list[set[int]], full: dict[int, str]):
+    """First k-subset of the len(adj) vertices, in lexicographic order,
+    that induces a copy in full, as (name, sorted vertices), or None;
+    k >= 1. One rows list serves the whole scan (see _extend_copy)."""
+    n = len(adj)
     # -(2 << v) keeps the bits above v
     above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
+    return _extend_copy(above, [0] * n, [], prefixes, full, n - k + 1, 0, 0)
 
-    def extend(m: int, code: int, start: int):
-        shift = m * (m - 1) // 2
-        stop = n - k + m + 1
-        if m == k - 1:
-            for v in range(start, stop):
-                name = full.get(code | rows[v] << shift)
-                if name is not None:
-                    return name, (*chosen, v)
-            return None
-        level, bit = prefixes[m + 1], 1 << m
+
+def _extend_copy(above, rows, chosen, prefixes, full, slack: int, code: int, start: int):
+    """_first_copy's answer among the subsets that begin with the vertices
+    chosen, whose code is code (see _copy_tables), and go on from start;
+    k is len(prefixes) and slack is n - k + 1.
+
+    Subsets grow one vertex at a time, and the code grows by the new
+    vertex's row rows[v], one bit per position before it. Choosing v at
+    position m sets bit m in the rows of above[v], v's neighbours above v,
+    and clears it again once the subsets extending that choice are done;
+    later positions hold only vertices above v, so no other row is read.
+    A prefix whose code is not in the set for its length begins no
+    labelled copy, so it is dropped with every subset extending it."""
+    m = len(chosen)
+    shift = m * (m - 1) // 2
+    stop = slack + m
+    if m == len(prefixes) - 1:
         for v in range(start, stop):
-            c = code | rows[v] << shift
-            if c in level:
-                nbrs = above[v]
-                for w in nbrs:
-                    rows[w] |= bit
-                chosen.append(v)
-                hit = extend(m + 1, c, v + 1)
-                chosen.pop()
-                for w in nbrs:
-                    rows[w] ^= bit
-                if hit:
-                    return hit
+            name = full.get(code | rows[v] << shift)
+            if name is not None:
+                return name, (*chosen, v)
         return None
-
-    hit = extend(0, 0, 0)
-    del extend  # the closure refers to itself: free it without the cyclic collector
-    return hit
+    level, bit = prefixes[m + 1], 1 << m
+    for v in range(start, stop):
+        c = code | rows[v] << shift
+        if c in level:
+            nbrs = above[v]
+            for w in nbrs:
+                rows[w] |= bit
+            chosen.append(v)
+            hit = _extend_copy(above, rows, chosen, prefixes, full, slack, c, v + 1)
+            chosen.pop()
+            for w in nbrs:
+                rows[w] ^= bit
+            if hit:
+                return hit
+    return None
 
 
 def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
@@ -223,7 +223,7 @@ def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     for k, prefixes, full in _copy_tables():
         if k > g.n:
             break
-        hit = _first_copy(g.adj, g.n, k, prefixes, full)
+        hit = _first_copy(g.adj, k, prefixes, full)
         if hit:
             return hit
     return None

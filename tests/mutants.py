@@ -119,7 +119,7 @@ MUTANTS = [
     # the matcher maps by invariant alone, without checking adjacency
     (
         "src/hhresidue/enumeration.py",
-        "if (av >> u & 1) != (hw >> mapping[u] & 1):",
+        "if (av >> order[j] & 1) != (hw >> image[j] & 1):",
         "if False:",
         ["tests/test_enumeration.py"],
     ),
@@ -149,6 +149,10 @@ MUTANTS = [
     ("src/hhresidue/degseq.py", "count[level] += carry - need", "count[level] += carry", ["tests/test_degseq.py"]),
     # a largest term equal to the number of terms passes the first check
     ("src/hhresidue/degseq.py", "if top > len(terms) - 1:", "if top > len(terms):", ["tests/test_degseq.py"]),
+    # the matcher may map two vertices to one
+    ("src/hhresidue/enumeration.py", "        if w in image:\n            continue\n", "", ["tests/test_enumeration.py"]),
+    # the forbidden scan keeps a vertex chosen after the subsets through it are done
+    ("src/hhresidue/recognition.py", "            chosen.pop()\n", "", ["tests/test_recognition.py"]),
 ]
 
 

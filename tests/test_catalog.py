@@ -1,15 +1,18 @@
 """The forbidden-subgraph table: counts, degree sequences, distinctness,
-and each literal edge list against a construction from named graphs."""
+and each literal edge list against a construction from named graphs,
+together with the test builders (tests/strategies.py) that the
+constructions use."""
 
 import itertools
 
 import pytest
+from hypothesis import given
 
 from hhresidue.graphs import Graph
 from hhresidue.recognition import FORBIDDEN_SUBGRAPHS
 
 from oracles import is_isomorphic
-from strategies import complement, complete, complete_bipartite, cycle, disjoint_union, domino, path
+from strategies import complement, complete, complete_bipartite, cycle, disjoint_union, domino, graphs, path
 
 # (vertices, edges, degree sequence) for every forbidden member.
 FORBIDDEN_SHAPES = {
@@ -81,3 +84,27 @@ def test_parameterized_constructors_validate():
     with pytest.raises(ValueError):
         complete_bipartite(0, 3)
     assert path(1) == complete(1)
+
+
+# --- the builders that the constructions above use --------------------------
+
+
+def test_complement_k3():
+    assert complement(complete(3)) == Graph(3)
+
+
+@given(graphs())
+def test_complement_involution(g):
+    assert complement(complement(g)) == g
+
+
+@given(graphs())
+def test_complement_degrees(g):
+    co = complement(g)
+    assert all(co.degrees[v] == g.n - 1 - g.degrees[v] for v in range(g.n))
+
+
+def test_disjoint_union_examples():
+    both = disjoint_union(path(3), path(3))
+    assert both.degree_sequence() == (2, 2, 1, 1, 1, 1)
+    assert disjoint_union(path(3), Graph(0)) == path(3)

@@ -1,4 +1,8 @@
-"""Graph construction, operations, and isomorphism."""
+"""Package code: Graph construction, the bit iterator, the enumeration's
+vertex invariant and matcher (through oracles.is_isomorphic) and the
+scale bounds; also the induced-subgraph helper that other tests use as a
+second route. The builders of tests/strategies.py are tested in
+tests/test_catalog.py."""
 
 import itertools
 import re
@@ -19,7 +23,7 @@ from hhresidue.independence import (
     independence_number_without,
     maxine_all_branches,
 )
-from hhresidue.recognition import FORBIDDEN_SUBGRAPHS, is_strong_havel_hakimi_definitional
+from hhresidue.recognition import is_strong_havel_hakimi_definitional
 
 from oracles import induced_subgraph, is_isomorphic
 from strategies import (
@@ -112,35 +116,6 @@ def test_graph_is_immutable():
         del g.adj
     with pytest.raises(AttributeError):
         g.degrees = ()
-
-
-# --- complement, union ------------------------------------------------------
-
-
-def test_complement_k3():
-    assert complement(complete(3)) == Graph(3)
-
-
-def test_complement_k2_plus_p3_is_k23_plus():
-    g = complement(disjoint_union(complete(2), path(3)))
-    assert is_isomorphic(g, FORBIDDEN_SUBGRAPHS["K_{2,3}+"])
-
-
-@given(graphs())
-def test_complement_involution(g):
-    assert complement(complement(g)) == g
-
-
-@given(graphs())
-def test_complement_degrees(g):
-    co = complement(g)
-    assert all(co.degrees[v] == g.n - 1 - g.degrees[v] for v in range(g.n))
-
-
-def test_disjoint_union_examples():
-    both = disjoint_union(path(3), path(3))
-    assert both.degree_sequence() == (2, 2, 1, 1, 1, 1)
-    assert disjoint_union(path(3), Graph(0)) == path(3)
 
 
 # --- induced subgraphs ------------------------------------------------------

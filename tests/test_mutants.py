@@ -6,8 +6,16 @@ import pytest
 
 from mutants import MUTANTS, ROOT
 
+# a case is named by its entry, not its place in the list, so inserting an
+# entry renames no other case
+IDS = [f"{path}-{old}-{new}-{','.join(tests)}" for path, old, new, tests in MUTANTS]
 
-@pytest.mark.parametrize("path, old, new, tests", MUTANTS)
+
+def test_mutant_ids_are_unique():
+    assert len(set(IDS)) == len(IDS)
+
+
+@pytest.mark.parametrize("path, old, new, tests", MUTANTS, ids=IDS)
 def test_mutant_snippet_occurs_once(path, old, new, tests):
     assert (ROOT / path).read_text().count(old) == 1
     assert old != new

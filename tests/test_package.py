@@ -83,8 +83,8 @@ STOOL = recognition.FORBIDDEN_SUBGRAPHS["stool"]
 STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
-# each call runs one recursive search: _first_copy's extend and _match's
-# backtrack are inner functions
+# each call runs one recursive search, _first_copy's and _match's, both
+# module-level functions (test_no_function_recurses_through_a_closure)
 @pytest.mark.parametrize(
     "call",
     [
@@ -94,9 +94,9 @@ STOOL_INV = enumeration.vertex_invariants(STOOL)
     ids=["first-copy", "match"],
 )
 def test_recursive_searches_leave_no_cyclic_garbage(call):
-    """A recursive inner function refers to itself through its closure;
-    unless the search drops that reference when it returns, each call
-    leaves a cycle that only the cyclic collector frees."""
+    """A call leaves no reference cycle for the cyclic collector, as a
+    recursive inner function that refers to itself through its closure
+    would unless the search deleted it."""
     call()  # builds the copy table on first use
     gc.collect()
     gc.disable()
@@ -124,6 +124,23 @@ def _mentions(node):
             yield from sub.name.split(".")
             if sub.asname:
                 yield sub.asname
+
+
+def test_no_function_recurses_through_a_closure():
+    """No function in src/hhresidue defines an inner function that reads its
+    own name. Such a function refers to itself through its closure, so each
+    call of the outer function leaves a cycle unless it deletes the inner
+    one; a search recurses at module level over explicit arguments instead."""
+    selfish = [
+        f"{path.stem}.{outer.name}.{inner.name}"
+        for path in sorted((ROOT / "src" / "hhresidue").rglob("*.py"))
+        for outer in ast.walk(ast.parse(path.read_text()))
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if any(isinstance(sub, ast.Name) and sub.id == inner.name for sub in ast.walk(inner))
+    ]
+    assert selfish == []
 
 
 def _defined(stmt):
