@@ -26,11 +26,21 @@ graphs of order at most 6. The scan reads one table, built once per
 process on first use from those edge lists: every labelled copy of every
 catalog graph, each coded with one bit per position pair and mapped to
 the graph's catalog name, together with the set of codes of each copy's
-first m positions. The scan, _first_copy, grows vertex subsets one
+first m positions. The scan, _extend_copy, grows vertex subsets one
 vertex at a time in lexicographic order and drops a prefix as soon as
 its code begins no copy, so a subset is never built as a graph and no
 isomorphism test runs. Its witness is the plain tuple (catalog name,
 sorted host vertices).
+
+The scan covers only the core that _peel leaves: the vertices left after
+deleting, until none remains, a vertex isolated or dominating among
+those still left. The witness stays the same, by three facts. No
+forbidden graph has an isolated or a dominating vertex. A vertex
+isolated or dominating among the vertices left is so in every subset of
+them that contains it, so no copy contains a peeled vertex. And the
+core is relabelled in increasing order, which keeps the lexicographic
+order of its subsets, so the first copy in the core is the first copy
+in g. A threshold graph is one whose core is empty.
 """
 
 from __future__ import annotations
@@ -167,20 +177,12 @@ def _copy_tables() -> tuple:
     )
 
 
-def _first_copy(adj, k: int, prefixes: list[set[int]], full: dict[int, str]):
-    """First k-subset of the len(adj) vertices, in lexicographic order,
-    that induces a copy in full, as (name, sorted vertices), or None;
-    k >= 1. One rows list serves the whole scan (see _extend_copy)."""
-    n = len(adj)
-    # -(2 << v) keeps the bits above v
-    above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
-    return _extend_copy(above, [0] * n, [], prefixes, full, n - k + 1, 0, 0)
-
-
 def _extend_copy(above, rows, chosen, prefixes, full, slack: int, code: int, start: int):
-    """_first_copy's answer among the subsets that begin with the vertices
-    chosen, whose code is code (see _copy_tables), and go on from start;
-    k is len(prefixes) and slack is n - k + 1.
+    """The first k-subset of the n vertices, in lexicographic order, that
+    induces a copy in full, as (name, sorted vertices), among the subsets
+    that begin with the vertices chosen, whose code is code (see
+    _copy_tables), and go on from start; k is len(prefixes) and slack is
+    n - k + 1. One rows list serves the whole scan.
 
     Subsets grow one vertex at a time, and the code grows by the new
     vertex's row rows[v], one bit per position before it. Choosing v at
@@ -219,13 +221,30 @@ def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Scan for an induced forbidden subgraph: subsets by increasing size
     (5 before 6), lexicographically within a size, catalog order within a
     subset. Returns the first hit as (catalog name, sorted host vertices
-    inducing it), or None when g is in the class."""
+    inducing it), or None when g is in the class.
+
+    Only the core left by _peel is scanned: a vertex isolated or dominating
+    among those left is so in every subset of them, and no forbidden graph
+    has such a vertex, so every copy lies in the core. When a vertex was
+    peeled, the core is relabelled 0, 1, ... in increasing order, which
+    keeps the lexicographic order of its subsets, and the witness is
+    mapped back to host labels."""
+    adj, core = g.adj, _peel(g.adj)
+    verts = iter_bits(core)
+    if len(verts) < g.n:
+        label = {v: i for i, v in enumerate(verts)}
+        # distinct neighbours set distinct bits, so the sum is their OR
+        adj = tuple(sum([1 << label[u] for u in iter_bits(adj[v] & core)]) for v in verts)
+    n = len(adj)
+    # -(2 << v) keeps the bits above v
+    above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
+    rows = [0] * n  # all zeros again after a scan that finds nothing
     for k, prefixes, full in _copy_tables():
-        if k > g.n:
+        if k > n:
             break
-        hit = _first_copy(g.adj, k, prefixes, full)
+        hit = _extend_copy(above, rows, [], prefixes, full, n - k + 1, 0, 0)
         if hit:
-            return hit
+            return hit[0], tuple(verts[i] for i in hit[1])
     return None
 
 
@@ -249,12 +268,15 @@ def is_matrogenic_config_free(g: Graph) -> bool:
     return True
 
 
-def is_threshold(g: Graph) -> bool:
-    """True iff g empties by repeatedly deleting an isolated or a
-    dominating vertex (Chvatal and Hammer, 1977). Either deletion keeps
-    the answer, since threshold graphs are closed under induced subgraphs
-    and under adding such a vertex."""
-    adj, left = g.adj, (1 << g.n) - 1
+def _peel(adj) -> int:
+    """The mask of the core of the graph with these neighbourhoods: what is
+    left after deleting, one at a time until none remains, a vertex that is
+    isolated or dominating among the vertices still left. Such a vertex
+    stays isolated or dominating in every subset of those vertices that
+    contains it, so the core does not depend on the order of deletions,
+    and, since no forbidden graph has such a vertex, every induced copy of
+    one lies in the core."""
+    left = (1 << len(adj)) - 1
     while left:
         full = left.bit_count() - 1  # degree of a dominating vertex among those left
         for v in iter_bits(left):
@@ -263,5 +285,14 @@ def is_threshold(g: Graph) -> bool:
                 left ^= 1 << v
                 break
         else:
-            return False
-    return True
+            break
+    return left
+
+
+def is_threshold(g: Graph) -> bool:
+    """True iff g empties by repeatedly deleting an isolated or a
+    dominating vertex (Chvatal and Hammer, 1977), that is, iff _peel
+    leaves an empty core. Either deletion keeps the answer, since
+    threshold graphs are closed under induced subgraphs and under adding
+    such a vertex."""
+    return not _peel(g.adj)

@@ -57,7 +57,7 @@ MUTANTS = [
     ("src/hhresidue/recognition.py", "prefixes[m + 1], 1 << m", "prefixes[m], 1 << m", ["tests/test_recognition.py"]),
     # the definitional oracle returns the prefix's answer without the top sweep
     ("src/hhresidue/recognition.py", "if first is not None:", "if True:", ["tests/test_recognition.py"]),
-    # threshold peeling deletes only isolated vertices
+    # the peel deletes only isolated vertices, so a threshold graph with an edge keeps a core
     ("src/hhresidue/recognition.py", "if d == 0 or d == full:", "if d == 0:", ["tests/test_recognition.py"]),
     # the forbidden scan never clears a chosen vertex's bit again
     ("src/hhresidue/recognition.py", "rows[w] ^= bit", "pass", ["tests/test_recognition.py"]),
@@ -153,6 +153,17 @@ MUTANTS = [
     ("src/hhresidue/enumeration.py", "        if w in image:\n            continue\n", "", ["tests/test_enumeration.py"]),
     # the forbidden scan keeps a vertex chosen after the subsets through it are done
     ("src/hhresidue/recognition.py", "            chosen.pop()\n", "", ["tests/test_recognition.py"]),
+    # the peel also deletes vertices of degree 1 among those left, so P5 peels to nothing
+    ("src/hhresidue/recognition.py", "if d == 0 or d == full:", "if d <= 1 or d == full:", ["tests/test_recognition.py"]),
+    # the scan names a copy by its labels in the core, not in the host
+    ("src/hhresidue/recognition.py", "verts[i] for i in hit[1]", "i for i in hit[1]", ["tests/test_recognition.py"]),
+    # the scan covers the core's vertices under their host labels
+    (
+        "src/hhresidue/recognition.py",
+        "adj = tuple(sum([1 << label[u] for u in iter_bits(adj[v] & core)]) for v in verts)",
+        "adj = tuple(adj[v] & core for v in verts)",
+        ["tests/test_recognition.py"],
+    ),
 ]
 
 

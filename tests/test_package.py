@@ -83,8 +83,9 @@ STOOL = recognition.FORBIDDEN_SUBGRAPHS["stool"]
 STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
-# each call runs one recursive search, _first_copy's and _match's, both
-# module-level functions (test_no_function_recurses_through_a_closure)
+# each call runs one recursive search, _extend_copy's (the stool peels to
+# itself, so the scan covers all of it) and _match's, both module-level
+# functions (test_no_function_recurses_through_a_closure)
 @pytest.mark.parametrize(
     "call",
     [

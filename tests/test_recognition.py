@@ -186,6 +186,73 @@ def gnp(n, p, rng):
     return Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
 
 
+# --- the peel before the scan ----------------------------------------------
+
+
+def test_forbidden_graphs_have_no_isolated_or_dominating_vertex():
+    """The lemma the scan's peel rests on: no forbidden graph has a vertex
+    of degree 0 or n - 1, so the peel leaves each one whole."""
+    for name, fg in FORBIDDEN_SUBGRAPHS.items():
+        assert all(0 < d < fg.n - 1 for d in fg.degrees), name
+        assert recognition._peel(fg.adj) == (1 << fg.n) - 1, name
+
+
+def insert_vertex(g, at, dominating):
+    """g with a new vertex at label at, joined to every other vertex when
+    dominating and to none otherwise; the labels from at up move up one."""
+    up = [v + (v >= at) for v in range(g.n)]
+    edges = [(up[u], up[v]) for u, v in g.edges()]
+    if dominating:
+        edges += [(at, w) for w in up]
+    return Graph(g.n + 1, edges)
+
+
+def with_peelable_vertices(g):
+    """g with one isolated or dominating vertex inserted at the lowest, a
+    middle and the highest label, and with one of each in either order,
+    so that the one inserted first is peelable only once the other is
+    peeled."""
+    for at in (0, g.n // 2, g.n):
+        for dominating in (False, True):
+            yield insert_vertex(g, at, dominating)
+    for first in (False, True):
+        h = insert_vertex(g, 0, first)
+        yield insert_vertex(h, h.n // 2, not first)
+
+
+def test_witness_with_isolated_and_dominating_vertices_added():
+    """Each forbidden graph and seeded G(n, p) graphs of order <= 10, with
+    isolated and dominating vertices added: the scan, which peels them,
+    names the first copy as the reference route, which does not."""
+    rng = random.Random(1977)
+    bases = list(FORBIDDEN_SUBGRAPHS.values())
+    bases += [gnp(n, p, rng) for n in range(5, 11) for p in (0.3, 0.6)]
+    for g in bases:
+        for h in with_peelable_vertices(g):
+            assert strong_hh_witness(h) == reference_witness(h), h
+
+
+def test_peelable_vertex_keeps_definitional_answer():
+    """The class-level fact behind the peel, through the definitional
+    oracle, which shares no code with it: an isolated or a dominating
+    vertex added to any class of order <= 6 keeps the graph in the class
+    or out of it, and the scan agrees."""
+    for g in graphs_up_to(6):
+        inside = definitional_violation(g) is None
+        for h in with_peelable_vertices(g):
+            assert (definitional_violation(h) is None) == inside, h
+            assert (strong_hh_witness(h) is None) == inside, h
+
+
+def test_full_scan_on_in_class_graph_that_peels_nothing():
+    """10K2 under shuffled labels: every vertex has degree 1 of 19, so the
+    peel leaves all 20 and the scan runs on the whole graph."""
+    perm = random.Random(2015).sample(range(20), 20)
+    g = relabel(Graph(20, [(2 * i, 2 * i + 1) for i in range(10)]), perm)
+    assert recognition._peel(g.adj) == (1 << 20) - 1
+    assert strong_hh_witness(g) is None
+
+
 def grown_in_class_graph(n, rng):
     """A strong Havel-Hakimi graph of order n grown one vertex at a time: a
     random neighborhood is kept when the graph stays in the class, else the
