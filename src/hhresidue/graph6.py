@@ -7,20 +7,31 @@ adjacency matrix follows in column-major pair order (0,1),(0,2),(1,2),
 byte offset by 63, with zero padding to a byte boundary. Encoding is exact
 for the labeled graph (not isomorph-canonical) and round-trips bit for bit.
 
-Both directions go through one string of pair bits, one character per
-pair: column j is the j characters for (0,j),...,(j-1,j), which read
-backwards are vertex j's neighbours below j as a binary numeral.
+Both directions go through one integer of pair bits, with pair (i, j),
+i < j, at bit j(j-1)/2 + i: column j is the j bits from j(j-1)/2 up, vertex
+j's neighbours below j. Its binary numeral read backwards is the body's bit
+string, first pair first. Parsing reads that string through a table of six
+bits per byte; emitting pads it to whole bytes and lets base64 cut the
+six-bit groups, whose alphabet is then translated to bytes 63..126.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, iter_bits
+import binascii
+import re
+
+from .graphs import Graph
 
 HEADER = ">>graph6<<"
 _MAX_N = 258047
-# a body byte's six pair bits, and back
+# a body byte's six pair bits
 _BITS = {v + 63: format(v, "06b") for v in range(64)}
-_CHAR = {format(v, "06b"): chr(v + 63) for v in range(64)}
+# base64's digit for v, as the graph6 byte v + 63
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+# any character outside '?'..'~', the bytes 63..126
+_OUT_OF_RANGE = re.compile("[^?-~]")
 
 
 class Graph6Error(ValueError):
@@ -44,10 +55,9 @@ def parse_graph6(text: str) -> Graph:
         base = len(HEADER)
     if not s:
         raise Graph6Error("empty graph6 string", base)
-    for i, ch in enumerate(s):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(f"byte {code} outside graph6 range 63..126", base + i)
+    bad = _OUT_OF_RANGE.search(s)
+    if bad:
+        raise Graph6Error(f"byte {ord(bad.group())} outside graph6 range 63..126", base + bad.start())
     n = ord(s[0]) - 63
     idx = 1
     if n == 63:
@@ -70,14 +80,18 @@ def parse_graph6(text: str) -> Graph:
     bits = s[idx:].translate(_BITS)
     if "1" in bits[npairs:]:
         raise Graph6Error("nonzero padding bits", base + len(s) - 1)  # in the last byte
+    pairs = int(bits[npairs - 1::-1], 2) if npairs else 0
     adj = [0] * n
-    pos = 0
+    off = 0
     for j in range(1, n):
-        low = int(bits[pos:pos + j][::-1], 2)
-        pos += j
+        low = pairs >> off & ((1 << j) - 1)
+        off += j
         adj[j] = low
-        for i in iter_bits(low):
-            adj[i] |= 1 << j
+        bit = 1 << j
+        while low:  # vertex j is above each of its neighbours below j
+            b = low & -low
+            adj[b.bit_length() - 1] |= bit
+            low ^= b
     return Graph._from_adj(n, tuple(adj))
 
 
@@ -91,6 +105,11 @@ def emit_graph6(g: Graph) -> str:
     else:
         raise ValueError(f"orders above {_MAX_N} are not supported")
     adj = g.adj
-    bits = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(_CHAR[bits[k:k + 6]] for k in range(0, len(bits), 6))
+    pairs = 0
+    for j in range(1, n):
+        pairs |= (adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    npairs = n * (n - 1) // 2
+    # first pair most significant, then zeros up to a whole byte
+    body = int(format(pairs, f"0{npairs}b")[::-1], 2) << (-npairs % 8)
+    b64 = binascii.b2a_base64(body.to_bytes((npairs + 7) // 8, "big"), newline=False)
+    return head + b64[:(npairs + 5) // 6].translate(_FROM_BASE64).decode("ascii")

@@ -78,10 +78,14 @@ MUTANTS = [
     ),
     # graph6 parsing accepts set padding bits
     ("src/hhresidue/graph6.py", 'if "1" in bits[npairs:]:', "if False:", ["tests/test_graph6.py"]),
-    # graph6 emits each column last pair first
-    ("src/hhresidue/graph6.py", 'f"0{j}b")[::-1]', 'f"0{j}b")', ["tests/test_graph6.py"]),
+    # graph6 emits the pair bits last pair first
+    ("src/hhresidue/graph6.py", 'f"0{npairs}b")[::-1]', 'f"0{npairs}b")', ["tests/test_graph6.py"]),
+    # graph6 emits the pair bits without padding them to whole bytes first
+    ("src/hhresidue/graph6.py", " << (-npairs % 8)", "", ["tests/test_graph6.py"]),
+    # graph6 emits column j from bit j(j+1)/2, one column too far up
+    ("src/hhresidue/graph6.py", "<< (j * (j - 1) // 2)", "<< (j * (j + 1) // 2)", ["tests/test_graph6.py"]),
     # graph6 parsing sets only each vertex's neighbours below it
-    ("src/hhresidue/graph6.py", "adj[i] |= 1 << j", "pass", ["tests/test_graph6.py"]),
+    ("src/hhresidue/graph6.py", "adj[b.bit_length() - 1] |= bit", "pass", ["tests/test_graph6.py"]),
     # the co-domino literal loses its edge 3-5
     (
         "src/hhresidue/recognition.py",

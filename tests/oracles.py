@@ -40,6 +40,24 @@ def is_graphical_erdos_gallai(seq: Iterable[int]) -> bool:
     return True
 
 
+def graph6_reference(g: Graph) -> str:
+    """g in graph6, written from the format description alone: the order as
+    one byte for n <= 62, else 63 and three six-bit groups; then one bit per
+    pair (i, j), i < j, in the order (0,1),(0,2),(1,2),(0,3),..., six bits to
+    a byte, first pair most significant, zero bits up to a whole byte; each
+    byte is its six-bit value plus 63. The reference for hhresidue.graph6."""
+    n = g.n
+    values = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    bits = [g.adj[j] >> i & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    for k in range(0, len(bits), 6):
+        v = 0
+        for b in bits[k:k + 6]:
+            v = 2 * v + b
+        values.append(v)
+    return "".join(chr(v + 63) for v in values)
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the given vertices, relabeled densely: new
     vertex i is sorted(set(vertices))[i]."""

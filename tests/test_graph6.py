@@ -9,7 +9,7 @@ from hypothesis import given
 from hhresidue.graph6 import HEADER, Graph6Error, emit_graph6, parse_graph6
 from hhresidue.graphs import Graph
 
-from oracles import to_networkx
+from oracles import graph6_reference, to_networkx
 from strategies import complete, graphs, graphs_up_to, path
 
 
@@ -61,6 +61,16 @@ PARSE_ERRORS = [
     pytest.param("A`", "nonzero padding bits", 1, id="padding"),
     # order 3: three padding bits, the last set
     pytest.param("Bx", "nonzero padding bits", 1, id="padding-order-3"),
+    # order 100 ("~?@c") has 825 body bytes; the first bad one is reported
+    pytest.param(
+        "~?@c" + "?" * 821 + "!?\x80?",
+        "byte 33 outside graph6 range 63..126",
+        825,
+        id="late-in-long-body",
+    ),
+    pytest.param("~?@c\n" + "?" * 824, "byte 10 outside graph6 range 63..126", 4, id="after-extended-order"),
+    # a character outside Latin-1 is reported by its code point
+    pytest.param("B\u20ac", "byte 8364 outside graph6 range 63..126", 1, id="non-latin-1"),
 ]
 
 
@@ -72,6 +82,20 @@ def test_parse_rejects(header, text, message, offset):
     offset += len(header)
     assert exc.value.offset == offset
     assert str(exc.value) == f"{message} (byte offset {offset})"
+
+
+def test_codec_matches_reference():
+    """emit_graph6 writes what the format description gives, and
+    parse_graph6 reads it back, on seeded graphs of every order 0..130 and
+    of order 258, each empty, complete and at a random density: every
+    remainder of the pair count modulo 6 and 8, and both order fields."""
+    rng = random.Random(6)
+    for n in [*range(131), 258]:
+        for p in (0.0, 1.0, rng.random()):
+            g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            s = graph6_reference(g)
+            assert emit_graph6(g) == s, n
+            assert parse_graph6(s) == g, n
 
 
 def test_emit_order_bound():
