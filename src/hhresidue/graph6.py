@@ -11,8 +11,10 @@ Both directions go through one integer of pair bits, with pair (i, j),
 i < j, at bit j(j-1)/2 + i: column j is the j bits from j(j-1)/2 up, vertex
 j's neighbours below j. Its binary numeral read backwards is the body's bit
 string, first pair first. Parsing reads that string through a table of six
-bits per byte; emitting pads it to whole bytes and lets base64 cut the
-six-bit groups, whose alphabet is then translated to bytes 63..126.
+bits per byte and sets each vertex's upper neighbours by reading column j
+through :func:`~hhresidue.graphs.iter_bits`; emitting pads the integer to
+whole bytes and lets base64 cut the six-bit groups, whose alphabet is then
+translated to bytes 63..126.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import binascii
 import re
 
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 HEADER = ">>graph6<<"
 _MAX_N = 258047
@@ -88,10 +90,8 @@ def parse_graph6(text: str) -> Graph:
         off += j
         adj[j] = low
         bit = 1 << j
-        while low:  # vertex j is above each of its neighbours below j
-            b = low & -low
-            adj[b.bit_length() - 1] |= bit
-            low ^= b
+        for i in iter_bits(low):  # vertex j is above each of its neighbours below j
+            adj[i] |= bit
     return Graph._from_adj(n, tuple(adj))
 
 

@@ -4,8 +4,9 @@ small-graph combinatorics.
 A graph is its order and one int bitmask per vertex, its neighborhood;
 degrees, induced-subgraph degrees, independence checks, and subset scans
 reduce to popcounts. :func:`iter_bits` turns a vertex-set mask into an
-ascending tuple of vertices; for masks below 2^9 (every vertex set of a
-graph of order <= 9) it reads a table built at import.
+ascending tuple of vertices; for masks below 2^27 (every vertex set of a
+graph of order <= 27) it joins the entries of three 512-entry tables built
+at import, one per nine-bit chunk.
 
 Every exact computation in the package is exponential in the order (the
 class scans are a steep polynomial), so each stops at a bound held in the
@@ -35,21 +36,31 @@ def check_order(what: str, n: int, lo: int = 0) -> None:
         raise ValueError(f"{what}: order {n} outside supported range {lo}..{hi}")
 
 
-# _BITS[m] is iter_bits(m) for every m < 2**9, built by doubling: the
-# masks with top bit b are those below 2**b, each with b appended.
-_BITS: list[tuple[int, ...]] = [()]
-for _b in range(9):
-    _BITS += [bits + (_b,) for bits in _BITS]
-del _b
-_TABLE_SIZE = len(_BITS)
+def _bits_table(lo: int) -> list[tuple[int, ...]]:
+    """Entry m is iter_bits(m << lo), for every m < 2**9. Built by
+    doubling: the entries whose top bit is b are the entries before
+    them, each with b appended."""
+    table: list[tuple[int, ...]] = [()]
+    for b in range(lo, lo + 9):
+        table += [bits + (b,) for bits in table]
+    return table
+
+
+# the bits of a mask's nine-bit chunks at offsets 0, 9 and 18
+_BITS0, _BITS9, _BITS18 = _bits_table(0), _bits_table(9), _bits_table(18)
 
 
 def iter_bits(mask: int) -> tuple[int, ...]:
     """The indices of the set bits of mask, in increasing order, as a
-    tuple. Masks below 2**9 (every vertex set of a graph of order <= 9)
-    are read from a table; larger ones are decoded bit by bit."""
-    if mask < _TABLE_SIZE:
-        return _BITS[mask]
+    tuple. A mask below 2**27 (every vertex set of a graph of order <= 27)
+    is read from the tables, one lookup per nine-bit chunk up to its top
+    bit; a larger one is decoded bit by bit."""
+    if mask < 512:
+        return _BITS0[mask]
+    if mask < 1 << 18:
+        return _BITS0[mask & 511] + _BITS9[mask >> 9]
+    if mask < 1 << 27:
+        return _BITS0[mask & 511] + _BITS9[mask >> 9 & 511] + _BITS18[mask >> 18]
     bits = []
     while mask:
         low = mask & -mask

@@ -49,17 +49,13 @@ def _alpha(adj: tuple[int, ...], mask: int) -> int:
         # maximum-degree vertex; a take can lower degrees already read,
         # so passes repeat until one takes nothing
         taken, vbest, dbest = False, -1, 1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if not mask & low:
+        for v in iter_bits(mask):
+            if not mask >> v & 1:
                 continue  # the neighbour of a vertex taken this pass
-            v = low.bit_length() - 1
             nbrs = adj[v] & mask
             dv = nbrs.bit_count()
             if dv <= 1:
-                mask ^= low | nbrs
+                mask ^= 1 << v | nbrs
                 size += 1
                 taken = True
             elif dv > dbest:

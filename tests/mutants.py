@@ -85,7 +85,16 @@ MUTANTS = [
     # graph6 emits column j from bit j(j+1)/2, one column too far up
     ("src/hhresidue/graph6.py", "<< (j * (j - 1) // 2)", "<< (j * (j + 1) // 2)", ["tests/test_graph6.py"]),
     # graph6 parsing sets only each vertex's neighbours below it
-    ("src/hhresidue/graph6.py", "adj[b.bit_length() - 1] |= bit", "pass", ["tests/test_graph6.py"]),
+    ("src/hhresidue/graph6.py", "adj[i] |= bit", "pass", ["tests/test_graph6.py"]),
+    # iter_bits reads a mask's second nine-bit chunk from a table one bit too low
+    ("src/hhresidue/graphs.py", "_bits_table(9)", "_bits_table(8)", ["tests/test_graphs.py"]),
+    # alpha's pass also reads a vertex removed earlier in the same pass
+    (
+        "src/hhresidue/independence.py",
+        "            if not mask >> v & 1:\n                continue  # the neighbour of a vertex taken this pass\n",
+        "",
+        ["tests/test_independence.py"],
+    ),
     # the co-domino literal loses its edge 3-5
     (
         "src/hhresidue/recognition.py",

@@ -59,14 +59,31 @@ def bits_ref(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@pytest.mark.parametrize("mask", [0, 1, 511, 512, 513, (1 << 20) + 5])
+# the edges of the three nine-bit chunk tables and of the bit loop above them
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0,
+        1,
+        511,
+        512,
+        513,
+        (1 << 20) + 5,
+        (1 << 18) - 1,
+        1 << 18,
+        (1 << 27) - 1,
+        1 << 27,
+        (1 << 27) + (1 << 18) + 1,
+        0xA55A5A5A5A,
+    ],
+)
 def test_iter_bits_examples(mask):
     bits = iter_bits(mask)
     assert type(bits) is tuple
     assert bits == bits_ref(mask)
 
 
-@given(st.integers(0, (1 << 30) - 1))
+@given(st.integers(0, (1 << 64) - 1))
 def test_iter_bits_is_ascending_tuple_of_set_bits(mask):
     bits = iter_bits(mask)
     assert type(bits) is tuple

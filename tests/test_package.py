@@ -144,6 +144,38 @@ def test_no_function_recurses_through_a_closure():
     assert selfish == []
 
 
+def _lowest_bit_idioms(tree):
+    """The names x in tree's expressions x & -x, each of which isolates
+    the lowest set bit of x. An operand that is not a plain name, as in
+    a & -(2 << v), is a different pattern."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.left, ast.Name)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and isinstance(node.right.operand, ast.Name)
+            and node.right.operand.id == node.left.id
+        ):
+            yield node.left.id
+
+
+def test_only_iter_bits_decodes_masks_bit_by_bit():
+    """graphs.iter_bits is the one place in src/hhresidue that walks a
+    mask's set bits lowest first, so every sweep over a vertex set reads
+    its tables; no other module isolates a lowest bit with x & -x."""
+    decoders = [
+        f"{path.stem}: {name} & -{name}"
+        for path in sorted((ROOT / "src" / "hhresidue").rglob("*.py"))
+        if path.name != "graphs.py"
+        for name in _lowest_bit_idioms(ast.parse(path.read_text()))
+    ]
+    assert decoders == []
+    # the walk does find the idiom, in iter_bits's own bit loop
+    assert list(_lowest_bit_idioms(ast.parse((ROOT / "src" / "hhresidue" / "graphs.py").read_text()))) == ["mask"]
+
+
 def _defined(stmt):
     """The public names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
