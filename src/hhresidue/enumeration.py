@@ -10,21 +10,20 @@ The module owns the package's one vertex invariant and its one
 isomorphism matcher. The invariant of vertex v, :func:`vertex_invariants`,
 is the triple (degree, triangles through v, sorted neighbour degrees). An
 isomorphism maps every vertex to one with the same triple, so isomorphic
-graphs have equal sorted lists. A candidate is dropped unless the new
-vertex has the least entry of its list (the cheap half of McKay's
-canonical augmentation). That list, which holds the parent's degrees, is
-computed once per parent and derived from it for each candidate: only the
-new vertex's neighbours and theirs get new entries, and a candidate whose
-new vertex has more triangles than a rival of its degree is dropped before
-any entry is built. The sweep is complete: the invariant is
-isomorphism-invariant, so every graph on n vertices is its
-least-invariant-vertex-deleted subgraph plus that vertex. The sorted list
-is a kept candidate's bucket key, and the candidate, still a plain
-adjacency tuple, is built as a :class:`Graph` only when the matcher, a
-backtracking search that maps each vertex only to vertices with the same
-triple, rejects every representative already in its bucket. Buckets live
-for one order only. Results are cached per order and listed in generation
-order, so repeated sweeps are cheap and deterministic.
+graphs have equal sorted lists. The enumeration compares each triple as
+one int, :func:`_pack`, which orders as the triples do. A candidate is
+dropped unless the new vertex has the least key of its list (the cheap
+half of McKay's canonical augmentation). The parent's keys are computed
+once per parent, and each candidate's are derived from them by integer
+adds: only the new vertex, its neighbours and theirs change. The sweep is
+complete: the invariant is isomorphism-invariant, so every graph on n
+vertices is its least-invariant-vertex-deleted subgraph plus that vertex.
+The sorted key list is a kept candidate's bucket key, and the candidate,
+still a plain adjacency tuple, is built as a :class:`Graph` only when the
+matcher, a backtracking search that maps each vertex only to vertices
+with the same key, rejects every representative already in its bucket.
+Buckets live for one order only. Results are cached per order and listed
+in generation order, so repeated sweeps are cheap and deterministic.
 
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
@@ -55,28 +54,28 @@ def enumerate_graphs(n: int) -> list[Graph]:
         reps = [Graph(1)]
     else:
         reps = []
-        buckets: dict[tuple, list[tuple[tuple[int, ...], list]]] = {}
+        buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
         new_bit = 1 << (n - 1)
         for g in enumerate_graphs(n - 1):
-            g_inv = vertex_invariants(g)
-            g_deg = [t[0] for t in g_inv]
+            g_deg = g.degrees
+            g_key = [_pack(t) for t in vertex_invariants(g)]
             for pattern in _min_degree_patterns(g_deg):
-                inv = _child_invariants(g.adj, g_deg, g_inv, pattern)
-                if inv is None:
+                key = _child_invariants(g.adj, g_deg, g_key, pattern)
+                if key is None:
                     continue
                 adj = [*g.adj, pattern]
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
                 adj = tuple(adj)
-                bucket = buckets.setdefault(tuple(sorted(inv)), [])
-                if not any(_match(adj, inv, r, r_inv) for r, r_inv in bucket):
-                    bucket.append((adj, inv))
+                bucket = buckets.setdefault(tuple(sorted(key)), [])
+                if not any(_match(adj, key, r, r_key) for r, r_key in bucket):
+                    bucket.append((adj, key))
                     reps.append(Graph._from_adj(n, adj))
     _cache[n] = reps
     return reps
 
 
-def _min_degree_patterns(degrees: list[int]) -> list[int]:
+def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
     """Every neighbourhood mask that makes a new vertex, attached to a
     graph with these degrees, a minimum-degree vertex of the result, in
     ascending order."""
@@ -104,43 +103,64 @@ def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
-def _child_invariants(adj: tuple[int, ...], g_deg: list[int], g_inv: list, pattern: int) -> list | None:
-    """The vertex_invariants list of parent adj, with degrees g_deg and list
-    g_inv, plus a new vertex adjacent to the pattern, or None unless the new
-    vertex has the least entry; the pattern must leave it of minimum degree.
-    A pattern vertex gains one degree and a triangle per pattern neighbour,
-    the new vertex has one triangle per edge inside the pattern, and only
-    the pattern's vertices and their neighbours get new neighbour degrees."""
+# A packed invariant (see _pack) holds the degree from bit 72 up, the
+# triangles in bits 64..71, and below them 2**64 - 1 less the neighbours'
+# degree histogram, in which each neighbour of degree d weighs _WEIGHT[d].
+_LOW = (1 << 64) - 1
+_WEIGHT = [16 ** (15 - d) for d in range(16)]
+# what a vertex's key rises by when a neighbour's degree rises from d to d + 1
+_RAISE = [_WEIGHT[d] - _WEIGHT[d + 1] for d in range(15)]
+
+
+def _pack(inv: tuple[int, int, tuple[int, ...]]) -> int:
+    """One vertex_invariants triple as an int, for graphs of order at most
+    16; the ints of two triples compare as the triples do. Triples of equal
+    degree have neighbour-degree tuples of equal length, and the smaller
+    tuple, at its first difference, holds more copies of the smaller value
+    and as many of each value below. Its histogram is then the larger one,
+    since no digit reaches 16, so the key, which subtracts it, is the
+    smaller. Triangles, at most 105, fit their eight bits."""
+    deg, tri, nbrs = inv
+    return deg << 72 | tri << 64 | _LOW - sum([_WEIGHT[d] for d in nbrs])
+
+
+def _child_invariants(adj: tuple[int, ...], g_deg: tuple[int, ...], g_key: list[int], pattern: int) -> list[int] | None:
+    """The packed vertex_invariants of parent adj, with degrees g_deg and
+    packed list g_key, plus a new vertex adjacent to the pattern, or None
+    unless the new vertex's key is least; the pattern must leave it of
+    minimum degree. A pattern vertex gains one degree, a triangle per
+    pattern neighbour and the new vertex in its histogram, and raises the
+    key of each of its parent neighbours as its own degree rises; the new
+    vertex has one triangle per edge inside the pattern."""
     inside = iter_bits(pattern)
-    gained = {u: (adj[u] & pattern).bit_count() for u in inside}
-    k, tri = len(inside), sum(gained.values()) // 2
-    deg = g_deg.copy()
+    k = len(inside)
+    gain = (1 << 72) - _WEIGHT[k]
+    key = g_key.copy()
+    low, ends = _LOW, 0
     for u in inside:
-        deg[u] += 1
-    # its rivals have degree k: compare (degree, triangles) before any tuple
-    for u, d in enumerate(deg):
-        if d == k and g_inv[u][1] + gained.get(u, 0) < tri:
-            return None
-    deg.append(k)
-    new_bit = 1 << len(adj)
-    near = 0
-    inv = g_inv.copy()
-    for u in inside:
-        a = adj[u]
-        near |= a
-        inv[u] = (deg[u], g_inv[u][1] + gained[u], tuple(sorted([deg[w] for w in iter_bits(a | new_bit)])))
-    for u in iter_bits(near & ~pattern):
-        inv[u] = (deg[u], g_inv[u][1], tuple(sorted([deg[w] for w in iter_bits(adj[u])])))
-    inv.append((k, tri, tuple(sorted([deg[w] for w in inside]))))
-    return inv if inv[-1] == min(inv) else None
+        a, d = adj[u], g_deg[u]
+        t = (a & pattern).bit_count()
+        ends += t
+        key[u] += gain + (t << 64)
+        low -= _WEIGHT[d + 1]
+        rise = _RAISE[d]
+        for w in iter_bits(a):
+            key[w] += rise
+    new = k << 72 | ends // 2 << 64 | low
+    if new > min(key):
+        return None
+    key.append(new)
+    return key
 
 
 def _match(g: tuple[int, ...], ig: list, h: tuple[int, ...], ih: list) -> bool:
     """True iff an isomorphism maps the adjacency tuple g onto h and each
-    vertex to one with the same invariant; ig and ih are the graphs'
-    vertex_invariants and must be equal as sorted lists."""
+    vertex to one with the same invariant; ig and ih hold the graphs'
+    invariants vertex by vertex and must be equal as sorted lists. The
+    enumeration passes each vertex_invariants triple as one packed int
+    (_pack); the test oracle passes the triples."""
     n = len(g)
-    by_class: dict[tuple, list[int]] = {}
+    by_class: dict[int | tuple, list[int]] = {}
     for w in range(n):
         by_class.setdefault(ih[w], []).append(w)
     # map rare classes first

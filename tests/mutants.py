@@ -120,15 +120,10 @@ MUTANTS = [
         "if d == k - 1 and u)",
         ["tests/test_enumeration.py"],
     ),
-    # a candidate is dropped for a rival of its degree with as many triangles
-    (
-        "src/hhresidue/enumeration.py",
-        "g_inv[u][1] + gained.get(u, 0) < tri:",
-        "g_inv[u][1] + gained.get(u, 0) <= tri:",
-        ["tests/test_enumeration.py"],
-    ),
-    # a pattern vertex with a pattern neighbour is rebuilt as if the new vertex were absent
-    ("src/hhresidue/enumeration.py", "iter_bits(near & ~pattern)", "iter_bits(near)", ["tests/test_enumeration.py"]),
+    # a neighbour of a pattern vertex of degree d has its key raised as if d were d + 1
+    ("src/hhresidue/enumeration.py", "rise = _RAISE[d]", "rise = _RAISE[d + 1]", ["tests/test_enumeration.py"]),
+    # the new vertex counts each triangle once per edge end inside the pattern
+    ("src/hhresidue/enumeration.py", "ends // 2 << 64", "ends << 64", ["tests/test_enumeration.py"]),
     # the matcher maps by invariant alone, without checking adjacency
     (
         "src/hhresidue/enumeration.py",
@@ -136,8 +131,8 @@ MUTANTS = [
         "if False:",
         ["tests/test_enumeration.py"],
     ),
-    # a parent's degrees are read as its triangle counts
-    ("src/hhresidue/enumeration.py", "[t[0] for t in g_inv]", "[t[1] for t in g_inv]", ["tests/test_enumeration.py"]),
+    # a pattern vertex gains a degree but not the new neighbour in its histogram
+    ("src/hhresidue/enumeration.py", "gain = (1 << 72) - _WEIGHT[k]", "gain = 1 << 72", ["tests/test_enumeration.py"]),
     # the lemma holds v in every maximum independent set when alpha(G - v) = alpha(G)
     (
         "src/hhresidue/harness.py",

@@ -11,11 +11,12 @@ from hhresidue.enumeration import (
     _child_invariants,
     _match,
     _min_degree_patterns,
+    _pack,
     enumerate_graphs,
     vertex_invariants,
 )
 from hhresidue.graph6 import emit_graph6
-from hhresidue.graphs import Graph, iter_bits
+from hhresidue.graphs import SCALE_MAX_N, Graph, iter_bits
 
 from oracles import induced_subgraph, is_isomorphic, isomorphism_class_count_labeled, to_networkx
 from strategies import complete, cycle, degree_term_lists, graphs, graphs_up_to, path
@@ -110,7 +111,7 @@ def test_representatives_digest():
 
 
 def test_matcher_calls_per_order(monkeypatch):
-    """The isomorphism matcher runs as often as pinned at orders 2..7 when
+    """The isomorphism matcher runs as often as pinned at orders 2..8 when
     built from a cold cache."""
     monkeypatch.setattr(enumeration, "_cache", {})
     calls = []
@@ -121,11 +122,11 @@ def test_matcher_calls_per_order(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_match", counting)
     per_order = []
-    for n in range(1, 8):
+    for n in range(1, 9):
         before = len(calls)
         enumerate_graphs(n)
         per_order.append(len(calls) - before)
-    assert per_order == [0, 0, 1, 5, 26, 126, 912]
+    assert per_order == [0, 0, 1, 5, 26, 126, 912, 8031]
 
 
 def _old_filter(degrees):
@@ -149,13 +150,13 @@ def test_min_degree_patterns_of_any_degrees(degrees):
 
 
 def _check_children(g):
-    """Each min-degree child's derived list is its vertex_invariants list,
-    or None exactly when the new vertex lacks the least entry."""
-    g_inv = vertex_invariants(g)
+    """Each min-degree child's derived keys are the packed vertex_invariants
+    of the child, or None exactly when the new vertex's key is not least."""
+    g_key = [_pack(t) for t in vertex_invariants(g)]
     for p in _min_degree_patterns(g.degrees):
         h = Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(p)])
-        inv = vertex_invariants(h)
-        assert _child_invariants(g.adj, list(g.degrees), g_inv, p) == (inv if inv[-1] == min(inv) else None), (g, p)
+        key = [_pack(t) for t in vertex_invariants(h)]
+        assert _child_invariants(g.adj, g.degrees, g_key, p) == (key if key[-1] == min(key) else None), (g, p)
 
 
 def test_child_invariants_of_every_parent():
@@ -166,6 +167,33 @@ def test_child_invariants_of_every_parent():
 @given(graphs(min_n=1, max_n=8))
 def test_child_invariants_of_any_graph(g):
     _check_children(g)
+
+
+@given(graphs(min_n=1, max_n=16), graphs(min_n=1, max_n=16))
+def test_pack_preserves_order(g, h):
+    """Packing is order-preserving and injective on the triples of every
+    vertex pair drawn from graphs of order at most 16."""
+    invs = vertex_invariants(g) + vertex_invariants(h)
+    for a, b in itertools.product(invs, repeat=2):
+        assert (a < b) == (_pack(a) < _pack(b)), (a, b)
+        assert (a == b) == (_pack(a) == _pack(b)), (a, b)
+
+
+def test_pack_orders_full_histogram_digits():
+    """Random graphs rarely give a vertex many neighbours of one degree, so
+    this takes every sorted neighbour tuple of each length up to 15 over
+    three consecutive degrees, where a histogram digit reaches 15: listed in
+    ascending order, their packs strictly ascend."""
+    for lo in range(1, 14):
+        for k in range(16):
+            keys = [_pack((k, 0, t)) for t in itertools.combinations_with_replacement(range(lo, lo + 3), k)]
+            assert all(a < b for a, b in itertools.pairwise(keys)), (lo, k)
+
+
+def test_enumeration_bound_within_packing_limit():
+    # _pack keeps the order only up to order 16: raising the enumeration
+    # bound past it must change the packing first
+    assert SCALE_MAX_N["enumeration"] <= 16
 
 
 def test_invariants_computed_once_per_parent(monkeypatch):
