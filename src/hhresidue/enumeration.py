@@ -8,11 +8,14 @@ degree at least k, so k is at most the minimum degree plus one.
 
 The module owns the package's one vertex invariant and its one
 isomorphism matcher. The invariant of vertex v, :func:`vertex_invariants`,
-is the triple (degree, triangles through v, sorted neighbour degrees). An
-isomorphism maps every vertex to one with the same triple, so isomorphic
-graphs have equal sorted lists. The enumeration compares each triple as
-one int, :func:`_pack`, which orders as the triples do. A candidate is
-dropped unless the new vertex has the least key of its list (the cheap
+is one int: v's degree from bit 72 up, the triangles through v in bits
+64..71, and below them 2**64 - 1 less v's neighbour-degree histogram, in
+which a neighbour of degree d weighs 16**(15 - d). Up to order 16 no digit
+carries, so ints of equal degree and triangles order as the sorted
+neighbour degrees do: the smaller tuple, at its first difference, holds
+more of the smaller value. An isomorphism maps every vertex to one with
+the same int, so isomorphic graphs have equal sorted lists. A candidate
+is dropped unless the new vertex has the least key of its list (the cheap
 half of McKay's canonical augmentation). The parent's keys are computed
 once per parent, and each candidate's are derived from them by integer
 adds: only the new vertex, its neighbours and theirs change. The sweep is
@@ -58,7 +61,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
         new_bit = 1 << (n - 1)
         for g in enumerate_graphs(n - 1):
             g_deg = g.degrees
-            g_key = [_pack(t) for t in vertex_invariants(g)]
+            g_key = vertex_invariants(g)
             for pattern in _min_degree_patterns(g_deg):
                 key = _child_invariants(g.adj, g_deg, g_key, pattern)
                 if key is None:
@@ -90,48 +93,32 @@ def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
     return patterns
 
 
-def vertex_invariants(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The invariant of the module docstring, vertex by vertex."""
-    adj, deg = g.adj, g.degrees
-    return [
-        (
-            deg[v],
-            sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
-            tuple(sorted(deg[u] for u in iter_bits(a))),
-        )
-        for v, a in enumerate(adj)
-    ]
-
-
-# A packed invariant (see _pack) holds the degree from bit 72 up, the
-# triangles in bits 64..71, and below them 2**64 - 1 less the neighbours'
-# degree histogram, in which each neighbour of degree d weighs _WEIGHT[d].
+# the key's fields, as the module docstring sets them out
 _LOW = (1 << 64) - 1
 _WEIGHT = [16 ** (15 - d) for d in range(16)]
 # what a vertex's key rises by when a neighbour's degree rises from d to d + 1
 _RAISE = [_WEIGHT[d] - _WEIGHT[d + 1] for d in range(15)]
 
 
-def _pack(inv: tuple[int, int, tuple[int, ...]]) -> int:
-    """One vertex_invariants triple as an int, for graphs of order at most
-    16; the ints of two triples compare as the triples do. Triples of equal
-    degree have neighbour-degree tuples of equal length, and the smaller
-    tuple, at its first difference, holds more copies of the smaller value
-    and as many of each value below. Its histogram is then the larger one,
-    since no digit reaches 16, so the key, which subtracts it, is the
-    smaller. Triangles, at most 105, fit their eight bits."""
-    deg, tri, nbrs = inv
-    return deg << 72 | tri << 64 | _LOW - sum([_WEIGHT[d] for d in nbrs])
+def vertex_invariants(g: Graph) -> list[int]:
+    """The invariant of the module docstring, vertex by vertex."""
+    adj, deg = g.adj, g.degrees
+    return [
+        deg[v] << 72
+        | sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2 << 64
+        | _LOW - sum([_WEIGHT[deg[u]] for u in iter_bits(a)])
+        for v, a in enumerate(adj)
+    ]
 
 
 def _child_invariants(adj: tuple[int, ...], g_deg: tuple[int, ...], g_key: list[int], pattern: int) -> list[int] | None:
-    """The packed vertex_invariants of parent adj, with degrees g_deg and
-    packed list g_key, plus a new vertex adjacent to the pattern, or None
-    unless the new vertex's key is least; the pattern must leave it of
-    minimum degree. A pattern vertex gains one degree, a triangle per
-    pattern neighbour and the new vertex in its histogram, and raises the
-    key of each of its parent neighbours as its own degree rises; the new
-    vertex has one triangle per edge inside the pattern."""
+    """The vertex_invariants of parent adj, with degrees g_deg and keys
+    g_key, plus a new vertex adjacent to the pattern, or None unless the
+    new vertex's key is least; the pattern must leave it of minimum degree.
+    A pattern vertex gains one degree, a triangle per pattern neighbour and
+    the new vertex in its histogram, and raises the key of each of its
+    parent neighbours as its own degree rises; the new vertex has one
+    triangle per edge inside the pattern."""
     inside = iter_bits(pattern)
     k = len(inside)
     gain = (1 << 72) - _WEIGHT[k]
@@ -153,14 +140,12 @@ def _child_invariants(adj: tuple[int, ...], g_deg: tuple[int, ...], g_key: list[
     return key
 
 
-def _match(g: tuple[int, ...], ig: list, h: tuple[int, ...], ih: list) -> bool:
+def _match(g: tuple[int, ...], ig: list[int], h: tuple[int, ...], ih: list[int]) -> bool:
     """True iff an isomorphism maps the adjacency tuple g onto h and each
-    vertex to one with the same invariant; ig and ih hold the graphs'
-    invariants vertex by vertex and must be equal as sorted lists. The
-    enumeration passes each vertex_invariants triple as one packed int
-    (_pack); the test oracle passes the triples."""
+    vertex to one with the same key; ig and ih hold the graphs'
+    vertex_invariants and must be equal as sorted lists."""
     n = len(g)
-    by_class: dict[int | tuple, list[int]] = {}
+    by_class: dict[int, list[int]] = {}
     for w in range(n):
         by_class.setdefault(ih[w], []).append(w)
     # map rare classes first

@@ -46,11 +46,22 @@ MUTANTS = [
         '''f"{w[1]}:{','.join(map(str, w[0]))}"''',
         ["tests/test_cli.py"],
     ),
+    # residue reads a negative ending from the largest term of the last step
+    ("src/hhresidue/cli.py", "elif last[-1] < 0:", "elif last[0] < 0:", ["tests/test_cli.py"]),
     # the configuration needs three vertices u sees and w does not
     (
         "src/hhresidue/recognition.py",
         "(au & ~adj[w] & ~(1 << w)).bit_count() >= 2:",
         "(au & ~adj[w] & ~(1 << w)).bit_count() >= 3:",
+        ["tests/test_recognition.py"],
+    ),
+    # the configuration may take w itself as one of u's two neighbours outside N(w)
+    ("src/hhresidue/recognition.py", "au & ~adj[w] & ~(1 << w)", "au & ~adj[w]", ["tests/test_recognition.py"]),
+    # the definitional oracle's prefix drops the first vertex, not the last
+    (
+        "src/hhresidue/recognition.py",
+        "for a in adj[:-1]))",
+        "for a in adj[1:]))",
         ["tests/test_recognition.py"],
     ),
     # the forbidden scan keeps a prefix by the codes one position shorter
@@ -124,6 +135,13 @@ MUTANTS = [
     ("src/hhresidue/enumeration.py", "rise = _RAISE[d]", "rise = _RAISE[d + 1]", ["tests/test_enumeration.py"]),
     # the new vertex counts each triangle once per edge end inside the pattern
     ("src/hhresidue/enumeration.py", "ends // 2 << 64", "ends << 64", ["tests/test_enumeration.py"]),
+    # a vertex's key counts each triangle through it twice
+    (
+        "src/hhresidue/enumeration.py",
+        "for u in iter_bits(a)) // 2 << 64",
+        "for u in iter_bits(a)) << 64",
+        ["tests/test_enumeration.py"],
+    ),
     # the matcher maps by invariant alone, without checking adjacency
     (
         "src/hhresidue/enumeration.py",
@@ -133,6 +151,13 @@ MUTANTS = [
     ),
     # a pattern vertex gains a degree but not the new neighbour in its histogram
     ("src/hhresidue/enumeration.py", "gain = (1 << 72) - _WEIGHT[k]", "gain = 1 << 72", ["tests/test_enumeration.py"]),
+    # the lemma test finds induced 4-cycles through v but no 5-path centred at v
+    (
+        "src/hhresidue/harness.py",
+        "            for a in iter_bits(a_set):\n                if b_set & ~adj[a]:\n                    return True\n",
+        "",
+        ["tests/test_harness.py"],
+    ),
     # the lemma holds v in every maximum independent set when alpha(G - v) = alpha(G)
     (
         "src/hhresidue/harness.py",

@@ -97,6 +97,21 @@ def copy_tables_by_pairs(catalog) -> tuple:
     )
 
 
+def invariant_triples(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Per vertex, (degree, triangles through it, sorted neighbour degrees):
+    the triple that the enumeration's vertex_invariants key orders as, and
+    the reference the tests check that key against."""
+    adj, deg = g.adj, g.degrees
+    return [
+        (
+            deg[v],
+            sum((adj[u] & a).bit_count() for u in iter_bits(a)) // 2,
+            tuple(sorted(deg[u] for u in iter_bits(a))),
+        )
+        for v, a in enumerate(adj)
+    ]
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff an adjacency-preserving bijection between g and h exists:
     the enumeration's matcher, run when the sorted invariant lists agree.

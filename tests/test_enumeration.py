@@ -11,14 +11,13 @@ from hhresidue.enumeration import (
     _child_invariants,
     _match,
     _min_degree_patterns,
-    _pack,
     enumerate_graphs,
     vertex_invariants,
 )
 from hhresidue.graph6 import emit_graph6
 from hhresidue.graphs import SCALE_MAX_N, Graph, iter_bits
 
-from oracles import induced_subgraph, is_isomorphic, isomorphism_class_count_labeled, to_networkx
+from oracles import induced_subgraph, invariant_triples, is_isomorphic, isomorphism_class_count_labeled, to_networkx
 from strategies import complete, cycle, degree_term_lists, graphs, graphs_up_to, path
 
 
@@ -150,12 +149,12 @@ def test_min_degree_patterns_of_any_degrees(degrees):
 
 
 def _check_children(g):
-    """Each min-degree child's derived keys are the packed vertex_invariants
-    of the child, or None exactly when the new vertex's key is not least."""
-    g_key = [_pack(t) for t in vertex_invariants(g)]
+    """Each min-degree child's derived keys are the vertex_invariants of
+    the child, or None exactly when the new vertex's key is not least."""
+    g_key = vertex_invariants(g)
     for p in _min_degree_patterns(g.degrees):
         h = Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(p)])
-        key = [_pack(t) for t in vertex_invariants(h)]
+        key = vertex_invariants(h)
         assert _child_invariants(g.adj, g.degrees, g_key, p) == (key if key[-1] == min(key) else None), (g, p)
 
 
@@ -171,27 +170,40 @@ def test_child_invariants_of_any_graph(g):
 
 @given(graphs(min_n=1, max_n=16), graphs(min_n=1, max_n=16))
 def test_pack_preserves_order(g, h):
-    """Packing is order-preserving and injective on the triples of every
-    vertex pair drawn from graphs of order at most 16."""
-    invs = vertex_invariants(g) + vertex_invariants(h)
-    for a, b in itertools.product(invs, repeat=2):
-        assert (a < b) == (_pack(a) < _pack(b)), (a, b)
-        assert (a == b) == (_pack(a) == _pack(b)), (a, b)
+    """The packed keys of every vertex pair drawn from graphs of order at
+    most 16 compare, by < and ==, as the oracle's triples do."""
+    keys = vertex_invariants(g) + vertex_invariants(h)
+    triples = invariant_triples(g) + invariant_triples(h)
+    for (a, ta), (b, tb) in itertools.product(zip(keys, triples), repeat=2):
+        assert (a < b) == (ta < tb), (ta, tb)
+        assert (a == b) == (ta == tb), (ta, tb)
+
+
+def _hub(nbr_degrees):
+    """A graph whose vertex 0 is joined to vertices 1..k, of these degrees
+    (each at least 1), and to nothing else: vertex i also joins the first
+    nbr_degrees[i - 1] - 1 vertices after k."""
+    k = len(nbr_degrees)
+    edges = [(0, i) for i in range(1, k + 1)]
+    edges += [(i, k + 1 + j) for i, d in enumerate(nbr_degrees, 1) for j in range(d - 1)]
+    return Graph(k + max(nbr_degrees, default=1), edges)
 
 
 def test_pack_orders_full_histogram_digits():
     """Random graphs rarely give a vertex many neighbours of one degree, so
-    this takes every sorted neighbour tuple of each length up to 15 over
-    three consecutive degrees, where a histogram digit reaches 15: listed in
-    ascending order, their packs strictly ascend."""
-    for lo in range(1, 14):
-        for k in range(16):
-            keys = [_pack((k, 0, t)) for t in itertools.combinations_with_replacement(range(lo, lo + 3), k)]
+    this takes, for a hub of degree k, every sorted neighbour tuple over
+    three consecutive degrees that _hub builds within order 16, where a
+    histogram digit reaches 13: listed in ascending order, the hub's keys
+    strictly ascend."""
+    for k in range(14):
+        for lo in range(1, 15 - k):
+            tuples = itertools.combinations_with_replacement(range(lo, lo + 3), k)
+            keys = [vertex_invariants(_hub(t))[0] for t in tuples]
             assert all(a < b for a, b in itertools.pairwise(keys)), (lo, k)
 
 
 def test_enumeration_bound_within_packing_limit():
-    # _pack keeps the order only up to order 16: raising the enumeration
+    # the key keeps the order only up to order 16: raising the enumeration
     # bound past it must change the packing first
     assert SCALE_MAX_N["enumeration"] <= 16
 

@@ -25,7 +25,7 @@ from hhresidue.independence import (
 )
 from hhresidue.recognition import is_strong_havel_hakimi_definitional
 
-from oracles import induced_subgraph, is_isomorphic
+from oracles import induced_subgraph, invariant_triples, is_isomorphic
 from strategies import (
     complement,
     complete,
@@ -196,7 +196,7 @@ def test_is_isomorphic_matches_canonical(g, h):
 def degree_profiles(g):
     """Sorted (degree, sorted neighbour degrees) per vertex: the invariant
     without its triangle counts."""
-    return sorted(inv[0::2] for inv in vertex_invariants(g))
+    return sorted(inv[0::2] for inv in invariant_triples(g))
 
 
 @pytest.mark.parametrize(
@@ -222,11 +222,19 @@ def test_empty_graphs_are_isomorphic():
 def test_vertex_invariants_examples():
     # paw: triangle 0-1-2 with pendant 3 on 0
     paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert vertex_invariants(paw) == [
+    assert invariant_triples(paw) == [
         (3, 1, (1, 2, 2)),
         (2, 1, (2, 3)),
         (2, 1, (2, 3)),
         (1, 0, (3,)),
+    ]
+    # degree, triangles (two hex digits), then one hex digit per neighbour
+    # degree 0..15: F less the neighbours of that degree
+    assert vertex_invariants(paw) == [
+        0x3_01_FEDF_FFFF_FFFF_FFFF,
+        0x2_01_FFEE_FFFF_FFFF_FFFF,
+        0x2_01_FFEE_FFFF_FFFF_FFFF,
+        0x1_00_FFFE_FFFF_FFFF_FFFF,
     ]
 
 

@@ -80,8 +80,7 @@ def test_copy_table_is_built_on_first_use_once():
 
 
 STOOL = recognition.FORBIDDEN_SUBGRAPHS["stool"]
-# packed, as the enumeration passes them to _match
-STOOL_INV = [enumeration._pack(t) for t in enumeration.vertex_invariants(STOOL)]
+STOOL_INV = enumeration.vertex_invariants(STOOL)
 
 
 # each call runs one recursive search, _extend_copy's (the stool peels to
