@@ -101,7 +101,8 @@ _RAISE = [_WEIGHT[d] - _WEIGHT[d + 1] for d in range(15)]
 
 
 def vertex_invariants(g: Graph) -> list[int]:
-    """The invariant of the module docstring, vertex by vertex."""
+    """The invariant of the module docstring, vertex by vertex, for graphs
+    of order at most 16: above that a histogram digit can carry."""
     adj, deg = g.adj, g.degrees
     return [
         deg[v] << 72

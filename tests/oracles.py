@@ -114,9 +114,9 @@ def invariant_triples(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff an adjacency-preserving bijection between g and h exists:
-    the enumeration's matcher, run when the sorted invariant lists agree.
-    Not a second route itself; the tests check it against brute force and
-    networkx."""
+    the enumeration's matcher, run when the sorted invariant lists agree,
+    so for orders at most 16. Not a second route itself; the tests check
+    it against brute force and networkx."""
     if g.n != h.n:
         return False
     ig, ih = vertex_invariants(g), vertex_invariants(h)
