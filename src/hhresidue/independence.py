@@ -10,12 +10,9 @@ independent set: exactly when alpha(G - v) < alpha(G). Maxine can be
 run once with a fixed tie-breaking strategy, giving its deletion order
 (the survivors are the vertices not deleted), or branched over every
 choice of maximum-degree vertex, collecting the full set of achievable
-independent-set sizes. Maxine's branching skips what it can predict
-exactly: at maximum degree 1 the residual graph is a matching plus
-isolated vertices, so every run ends at one size, and of tied candidates
-that are twins (the same open or the same closed neighbourhood) only one
-is deleted, since swapping twins is an automorphism of the residual
-graph.
+independent-set sizes. Maxine's branching stops where it can predict
+the size exactly: at maximum degree 1 the residual graph is a matching
+plus isolated vertices, so every run ends at one size.
 """
 
 from __future__ import annotations
@@ -143,15 +140,9 @@ def maxine_all_branches(g: Graph) -> tuple[int, ...]:
     explored once, memoised as a mask with bit s set for each size s it
     can reach.
 
-    Two rules skip branches whose sizes are known. At maximum degree 1
-    the residual graph is a matching plus isolated vertices, and every
-    run deletes one end of each edge, so it ends at the residual size
-    minus half the candidates. Among the candidates, only one per twin
-    class is explored: twins have the same open neighbourhood within the
-    residual set, or the same closed one. Swapping two twins is an
-    automorphism of the residual graph, so deleting either reaches the
-    same sizes. No open neighbourhood equals another vertex's closed one,
-    so one set holds both kinds of key."""
+    At maximum degree 1 the residual graph is a matching plus isolated
+    vertices, and every run deletes one end of each edge, so it ends at
+    the residual size minus half the candidates, without branching."""
     check_order("maxine branching", g.n)
     return iter_bits(_maxine_sizes(g.adj, (1 << g.n) - 1, {}))
 
@@ -169,14 +160,7 @@ def _maxine_sizes(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
         sizes = 1 << (mask.bit_count() - len(cands) // 2)
     else:
         sizes = 0
-        seen: set[int] = set()
         for v in cands:
-            bit = 1 << v
-            nbrs = adj[v] & mask
-            if nbrs in seen or nbrs | bit in seen:
-                continue  # a twin of a vertex already explored
-            seen.add(nbrs)
-            seen.add(nbrs | bit)
-            sizes |= _maxine_sizes(adj, mask ^ bit, memo)
+            sizes |= _maxine_sizes(adj, mask ^ 1 << v, memo)
     memo[mask] = sizes
     return sizes

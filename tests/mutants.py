@@ -48,6 +48,19 @@ MUTANTS = [
     ),
     # residue reads a negative ending from the largest term of the last step
     ("src/hhresidue/cli.py", "elif last[-1] < 0:", "elif last[0] < 0:", ["tests/test_cli.py"]),
+    # analyze exits 0 when a line failed to parse
+    ("src/hhresidue/cli.py", "return 2 if failed else 0", "return 0", ["tests/test_cli.py"]),
+    # residue accepts non-ASCII digits such as the Arabic-Indic ones
+    ("src/hhresidue/cli.py", "tok.isascii() and tok.isdigit()", "tok.isdigit()", ["tests/test_cli.py"]),
+    # output with no lines writes nothing, not one empty line
+    (
+        "src/hhresidue/cli.py",
+        "            if not wrote:\n                print(file=fh, flush=True)\n",
+        "",
+        ["tests/test_cli.py"],
+    ),
+    # a quoted CSV cell keeps its double quotes single
+    ("src/hhresidue/cli.py", """cell.replace('"', '""')""", "cell", ["tests/test_cli.py"]),
     # the configuration needs three vertices u sees and w does not
     (
         "src/hhresidue/recognition.py",
@@ -78,6 +91,8 @@ MUTANTS = [
     ("src/hhresidue/recognition.py", "if len(verts) < 5:", "if len(verts) < 6:", ["tests/test_recognition.py"]),
     # Maxine branching counts every candidate as its own branch size
     ("src/hhresidue/independence.py", "len(cands) // 2", "len(cands)", ["tests/test_independence.py"]),
+    # Maxine branching memoises no state, so it revisits each one
+    ("src/hhresidue/independence.py", "    memo[mask] = sizes\n", "", ["tests/test_independence.py"]),
     # the reduction steps a largest term equal to the number of terms
     ("src/hhresidue/degseq.py", "0 < d[0] < len(d):", "0 < d[0] <= len(d):", ["tests/test_degseq.py"]),
     # alpha always takes the branching vertex
@@ -99,6 +114,10 @@ MUTANTS = [
     ("src/hhresidue/graph6.py", "adj[i] |= bit", "pass", ["tests/test_graph6.py"]),
     # iter_bits reads a mask's second nine-bit chunk from a table one bit too low
     ("src/hhresidue/graphs.py", "_bits_table(9)", "_bits_table(8)", ["tests/test_graphs.py"]),
+    # an order equal to a bound's upper end is refused
+    ("src/hhresidue/graphs.py", "lo <= n <= hi", "lo <= n < hi", ["tests/test_graphs.py"]),
+    # iter_bits decodes a mask of 2^27 or more one bit too high
+    ("src/hhresidue/graphs.py", "low.bit_length() - 1", "low.bit_length()", ["tests/test_graphs.py"]),
     # alpha's pass also reads a vertex removed earlier in the same pass
     (
         "src/hhresidue/independence.py",

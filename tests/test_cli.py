@@ -440,6 +440,19 @@ def test_analyze_csv_escapes_non_ascii_bytes(tmp_path, encoding):
     assert bad == "\\xc3\\xa9" + "," * 11 + "byte 195 outside graph6 range 63..126 (byte offset 0)"
 
 
+def test_analyze_csv_quotes_cells_with_quotes_and_commas(tmp_path, capsys):
+    """A cell holding a double quote or a comma is quoted, with its double
+    quotes doubled, so a CSV reader gets the input token back whole."""
+    token = 'A"_,b'
+    src = write_lines(tmp_path, [token])
+    code, out, err = run(capsys, "analyze", "--input", src, "--format", "csv")
+    assert code == 2
+    assert err.startswith("line 1: byte 34 outside graph6 range")
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["graph6"] == token
+    assert row["error"] == err.removeprefix("line 1: ").rstrip("\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["analyze", "--format", "xml"]) == 2

@@ -1,5 +1,6 @@
 """Exact independence numbers and the Maxine heuristic."""
 
+import hashlib
 import itertools
 import random
 
@@ -285,16 +286,17 @@ def test_branches_match_reference_on_every_class():
 @pytest.mark.parametrize(
     "g, states",
     [
-        # all vertices are twins: one state per order, K8 down to K2, where
-        # maximum degree 1 ends the run (255 states, every nonempty subset,
-        # without the rules)
-        (complete(8), 7),
+        # every vertex set of at least two vertices is visited once, from K8
+        # down to K2, where maximum degree 1 ends the run: 2^8 - 8 - 1
+        # states (255, every nonempty subset, without the matching rule;
+        # 28,961 calls without the memo)
+        (complete(8), 247),
         # maximum degree 1 at the start: one state (81 without the rule)
         (Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 1),
     ],
     ids=["complete-8", "perfect-matching-8"],
 )
-def test_branches_skip_twins_and_matchings(monkeypatch, g, states):
+def test_branch_states_are_memoised(monkeypatch, g, states):
     """The residual vertex sets explored, counted as calls to
     _max_degree_candidates. The unmemoised reference walks all 8! deletion
     orders of K8, about 0.2 s on a 2-vCPU host; K9 would take ten times
@@ -310,6 +312,17 @@ def test_branches_skip_twins_and_matchings(monkeypatch, g, states):
 @given(graphs(max_n=7))
 def test_branches_match_reference(g):
     assert maxine_all_branches(g) == tuple(sorted(brute_maxine_sizes(g)))
+
+
+def test_branches_on_every_class_of_order_8_are_pinned():
+    """The sizes of every class of orders 1..8, in generation order, hash
+    to a digest recorded when the branching still explored one candidate
+    per twin class, a second route to the same sizes. The reference above
+    stops at order 7; this pins order 8 with about 0.2 s of branching."""
+    digest = hashlib.sha256()
+    for g in graphs_up_to(8):
+        digest.update(f"{' '.join(map(str, maxine_all_branches(g)))}\n".encode())
+    assert digest.hexdigest() == "8de4882cac51889d30d62d9c386d6973c45457b68d1b5181356d6831b025a372"
 
 
 def test_maxine_optimal_on_c4_p5_free_graphs():
