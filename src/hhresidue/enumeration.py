@@ -6,6 +6,21 @@ vertex of the result. Only those are generated: with k neighbours, every
 vertex of degree k-1 is among them and the rest come from the vertices of
 degree at least k, so k is at most the minimum degree plus one.
 
+Of those, a parent keeps one pattern per orbit of its twin swaps. Vertices
+u and w are twins when N(u) - {w} = N(w) - {u}: non-adjacent with equal
+open neighbourhoods, or adjacent with equal closed ones. Twinship is an
+equivalence, and any permutation inside a twin class is an automorphism
+of the parent. Twins have equal degrees, so the permutation maps patterns
+to patterns. A pattern is kept only if, in every twin class, it takes the
+class's lowest labels; this is the orbit half of McKay's canonical
+augmentation ("Isomorph-free exhaustive generation", J. Algorithms 26,
+1998). A dropped pattern has a kept image that is numerically smaller,
+so it comes earlier from the same parent, and it gives an isomorphic
+child whose new vertex, fixed by the permutation, has the same key. The
+first candidate of each class in generation order is thus never dropped,
+and the representatives, their labels and their order are those the
+matcher alone would keep.
+
 The module owns the package's one vertex invariant and its one
 isomorphism matcher. The invariant of vertex v, :func:`vertex_invariants`,
 is one int: v's degree from bit 72 up, the triangles through v in bits
@@ -15,12 +30,13 @@ carries, so ints of equal degree and triangles order as the sorted
 neighbour degrees do: the smaller tuple, at its first difference, holds
 more of the smaller value. An isomorphism maps every vertex to one with
 the same int, so isomorphic graphs have equal sorted lists. A candidate
-is dropped unless the new vertex has the least key of its list (the cheap
-half of McKay's canonical augmentation). The parent's keys are computed
-once per parent, and each candidate's are derived from them by integer
-adds: only the new vertex, its neighbours and theirs change. The sweep is
-complete: the invariant is isomorphism-invariant, so every graph on n
-vertices is its least-invariant-vertex-deleted subgraph plus that vertex.
+is dropped unless the new vertex has the least key of its list (a cheap
+form of McKay's other test, that the new vertex be canonical). The
+parent's keys are computed once per parent, and each candidate's are
+derived from them by integer adds: only the new vertex, its neighbours
+and theirs change. The sweep is complete: the invariant is
+isomorphism-invariant, so every graph on n vertices is its
+least-invariant-vertex-deleted subgraph plus that vertex.
 The sorted key list is a kept candidate's bucket key, and the candidate,
 still a plain adjacency tuple, is built as a :class:`Graph` only when the
 matcher, a backtracking search that maps each vertex only to vertices
@@ -62,7 +78,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
         for g in enumerate_graphs(n - 1):
             g_deg = g.degrees
             g_key = vertex_invariants(g)
-            for pattern in _min_degree_patterns(g_deg):
+            for pattern in _twin_orbit_patterns(g.adj, g_deg):
                 key = _child_invariants(g.adj, g_deg, g_key, pattern)
                 if key is None:
                     continue
@@ -91,6 +107,34 @@ def _min_degree_patterns(degrees: tuple[int, ...]) -> list[int]:
             patterns.extend(forced + sum(c) for c in combinations(free, r))
     patterns.sort()
     return patterns
+
+
+def _twin_orbit_patterns(adj: tuple[int, ...], degrees: tuple[int, ...]) -> list[int]:
+    """The _min_degree_patterns of a parent with this adjacency and these
+    degrees that take the lowest labels of each twin class they meet: the
+    least pattern of each orbit of the twin swaps, in ascending order."""
+    patterns = _min_degree_patterns(degrees)
+    for v, low in enumerate(_lower_twins(adj)):
+        if low:
+            # drop the patterns that hold v but not its next-lower twin
+            bit = 1 << v
+            patterns = [p for p in patterns if p & (bit | low) != bit]
+    return patterns
+
+
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex v, 1 << u for its next-lower twin u, the greatest
+    u < v with N(u) - {v} = N(v) - {u}, or 0 when v has none. Twins are
+    either non-adjacent with equal open neighbourhoods or adjacent with
+    equal closed ones, and no vertex has one of each kind."""
+    open_twin: dict[int, int] = {}
+    closed_twin: dict[int, int] = {}
+    lower = []
+    for v, a in enumerate(adj):
+        closed = a | 1 << v
+        lower.append(open_twin.get(a, 0) | closed_twin.get(closed, 0))
+        open_twin[a] = closed_twin[closed] = 1 << v
+    return lower
 
 
 # the key's fields, as the module docstring sets them out

@@ -168,6 +168,29 @@ MUTANTS = [
         "if False:",
         ["tests/test_enumeration.py"],
     ),
+    # the twin rule sees false twins only, equal open neighbourhoods
+    (
+        "src/hhresidue/enumeration.py",
+        "lower.append(open_twin.get(a, 0) | closed_twin.get(closed, 0))",
+        "lower.append(open_twin.get(a, 0))",
+        ["tests/test_enumeration.py"],
+    ),
+    # the twin rule sees true twins only, equal closed neighbourhoods
+    (
+        "src/hhresidue/enumeration.py",
+        "lower.append(open_twin.get(a, 0) | closed_twin.get(closed, 0))",
+        "lower.append(closed_twin.get(closed, 0))",
+        ["tests/test_enumeration.py"],
+    ),
+    # adjacent twins are compared without taking each out of the other's neighbourhood
+    ("src/hhresidue/enumeration.py", "closed = a | 1 << v", "closed = a", ["tests/test_enumeration.py"]),
+    # a twin class's pattern keeps its highest labels, not its lowest
+    (
+        "src/hhresidue/enumeration.py",
+        "if p & (bit | low) != bit]",
+        "if p & (bit | low) != low]",
+        ["tests/test_enumeration.py"],
+    ),
     # a pattern vertex gains a degree but not the new neighbour in its histogram
     ("src/hhresidue/enumeration.py", "gain = (1 << 72) - _WEIGHT[k]", "gain = 1 << 72", ["tests/test_enumeration.py"]),
     # the lemma test finds induced 4-cycles through v but no 5-path centred at v

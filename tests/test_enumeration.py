@@ -9,8 +9,10 @@ from hypothesis import given
 from hhresidue import enumeration
 from hhresidue.enumeration import (
     _child_invariants,
+    _lower_twins,
     _match,
     _min_degree_patterns,
+    _twin_orbit_patterns,
     enumerate_graphs,
     vertex_invariants,
 )
@@ -111,7 +113,9 @@ def test_representatives_digest():
 
 def test_matcher_calls_per_order(monkeypatch):
     """The isomorphism matcher runs as often as pinned at orders 2..8 when
-    built from a cold cache."""
+    built from a cold cache. The twin rule drops candidates before the
+    matcher sees them; without it the counts were 0, 0, 1, 5, 26, 126,
+    912, 8031."""
     monkeypatch.setattr(enumeration, "_cache", {})
     calls = []
 
@@ -125,7 +129,7 @@ def test_matcher_calls_per_order(monkeypatch):
         before = len(calls)
         enumerate_graphs(n)
         per_order.append(len(calls) - before)
-    assert per_order == [0, 0, 1, 5, 26, 126, 912, 8031]
+    assert per_order == [0, 0, 0, 0, 3, 22, 265, 2947]
 
 
 def _old_filter(degrees):
@@ -148,13 +152,17 @@ def test_min_degree_patterns_of_any_degrees(degrees):
     assert _min_degree_patterns(tuple(degrees)) == _old_filter(degrees)
 
 
+def _child(g, pattern):
+    """g plus a new vertex g.n adjacent to the vertices of the pattern."""
+    return Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(pattern)])
+
+
 def _check_children(g):
     """Each min-degree child's derived keys are the vertex_invariants of
     the child, or None exactly when the new vertex's key is not least."""
     g_key = vertex_invariants(g)
     for p in _min_degree_patterns(g.degrees):
-        h = Graph(g.n + 1, g.edges() + [(u, g.n) for u in iter_bits(p)])
-        key = vertex_invariants(h)
+        key = vertex_invariants(_child(g, p))
         assert _child_invariants(g.adj, g.degrees, g_key, p) == (key if key[-1] == min(key) else None), (g, p)
 
 
@@ -166,6 +174,51 @@ def test_child_invariants_of_every_parent():
 @given(graphs(min_n=1, max_n=8))
 def test_child_invariants_of_any_graph(g):
     _check_children(g)
+
+
+def _twins(g, u, w):
+    """N(u) - {w} = N(w) - {u}, on vertex sets."""
+    nu, nw = set(iter_bits(g.adj[u])), set(iter_bits(g.adj[w]))
+    return nu - {w} == nw - {u}
+
+
+def _check_lower_twins(g):
+    """_lower_twins gives each vertex v the bit of the greatest u < v
+    with N(u) - {v} = N(v) - {u}, or 0."""
+    want = [max((1 << u for u in range(v) if _twins(g, u, v)), default=0) for v in range(g.n)]
+    assert _lower_twins(g.adj) == want, g
+
+
+def _check_twin_drops(g):
+    """The parent's kept patterns are the least images of its min-degree
+    patterns under the swaps inside its twin classes, found pairwise. A
+    dropped pattern's least image is numerically smaller, gets the same
+    _child_invariants verdict and keys, and gives an isomorphic child."""
+    classes = {tuple(u for u in range(g.n) if u == v or _twins(g, u, v)) for v in range(g.n)}
+    g_key = vertex_invariants(g)
+    least = {}
+    for p in _min_degree_patterns(g.degrees):
+        # each class's share of p moved to its lowest labels
+        least[p] = sum(1 << u for c in classes for u in c[: sum(p >> w & 1 for w in c)])
+    assert _twin_orbit_patterns(g.adj, g.degrees) == sorted(set(least.values())), g
+    for p, q in least.items():
+        if q != p:
+            assert q < p, (g, p, q)
+            kp, kq = (_child_invariants(g.adj, g.degrees, g_key, r) for r in (p, q))
+            assert (kp is None) == (kq is None) and (kp is None or sorted(kp) == sorted(kq)), (g, p, q)
+            assert is_isomorphic(_child(g, p), _child(g, q)), (g, p, q)
+
+
+def test_twin_rule_on_every_parent():
+    for g in graphs_up_to(6):
+        _check_lower_twins(g)
+        _check_twin_drops(g)
+
+
+@given(graphs(min_n=1, max_n=8))
+def test_twin_rule_on_any_graph(g):
+    _check_lower_twins(g)
+    _check_twin_drops(g)
 
 
 @given(graphs(min_n=1, max_n=16), graphs(min_n=1, max_n=16))
