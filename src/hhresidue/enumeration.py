@@ -39,8 +39,9 @@ isomorphism-invariant, so every graph on n vertices is its
 least-invariant-vertex-deleted subgraph plus that vertex.
 The sorted key list is a kept candidate's bucket key, and the candidate,
 still a plain adjacency tuple, is built as a :class:`Graph` only when the
-matcher, a backtracking search that maps each vertex only to vertices
-with the same key, rejects every representative already in its bucket.
+matcher, a backtracking search that maps the vertices in label order,
+each only to one with the same key, rejects every representative already
+in its bucket.
 Buckets live for one order only. Results are cached per order and listed
 in generation order, so repeated sweeps are cheap and deterministic.
 
@@ -189,33 +190,31 @@ def _match(g: tuple[int, ...], ig: list[int], h: tuple[int, ...], ih: list[int])
     """True iff an isomorphism maps the adjacency tuple g onto h and each
     vertex to one with the same key; ig and ih hold the graphs'
     vertex_invariants and must be equal as sorted lists."""
-    n = len(g)
-    by_class: dict[int, list[int]] = {}
-    for w in range(n):
-        by_class.setdefault(ih[w], []).append(w)
-    # map rare classes first
-    order = sorted(range(n), key=lambda v: (len(by_class[ig[v]]), ig[v], v))
-    return _extend_match(g, h, order, [by_class[ig[v]] for v in order], [])
+    by_key: dict[int, list[int]] = {}
+    for w, key in enumerate(ih):
+        by_key.setdefault(key, []).append(w)
+    return _extend_match(g, h, [by_key[key] for key in ig], [])
 
 
-def _extend_match(g: tuple, h: tuple, order: list[int], cands: list, image: list[int]) -> bool:
-    """_match's backtracking: order[j] maps to image[j] and may map only
-    into cands[j]. Each position takes the first unused candidate whose
-    adjacencies to the images so far agree; False leaves image unchanged."""
+def _extend_match(g: tuple, h: tuple, cands: list, image: list[int]) -> bool:
+    """_match's backtracking: vertex i of g maps to image[i] and may map
+    only into cands[i], the vertices of h with its key. Vertices map in
+    label order, each to the first unused candidate whose adjacencies to
+    the images so far agree; False leaves image unchanged."""
     i = len(image)
-    if i == len(order):
+    if i == len(cands):
         return True
-    av = g[order[i]]
+    av = g[i]
     for w in cands[i]:
         if w in image:
             continue
         hw = h[w]
         for j in range(i):
-            if (av >> order[j] & 1) != (hw >> image[j] & 1):
+            if (av >> j & 1) != (hw >> image[j] & 1):
                 break
         else:
             image.append(w)
-            if _extend_match(g, h, order, cands, image):
+            if _extend_match(g, h, cands, image):
                 return True
             image.pop()
     return False

@@ -23,12 +23,14 @@ The nine forbidden graphs are written below as literal edge lists in
 FORBIDDEN_SUBGRAPHS; the minimal-forbidden sweep of hhresidue.harness
 certifies them, since it finds exactly these nine graphs among all
 graphs of order at most 6. The scan reads one table, built once per
-process on first use from those edge lists: every labelled copy of every
-catalog graph, each coded with one bit per position pair and mapped to
-the graph's catalog name, together with the set of codes of each copy's
-first m positions. The scan, _extend_copy, grows vertex subsets one
-vertex at a time in lexicographic order and drops a prefix as soon as
-its code begins no copy, so a subset is never built as a graph and no
+process on first use from those edge lists: per catalog order, one list
+of code levels, one level per position. Every labelled copy of a catalog
+graph is coded with one bit per position pair, and level m holds the
+codes of the copies' first m + 1 positions: a set for each prefix, and,
+as the last level, the dict from each full code to the graph's catalog
+name. The scan, _extend_copy, grows vertex subsets one vertex at a time
+in lexicographic order and drops a prefix as soon as its code is missing
+from its level, so a subset is never built as a graph and no
 isomorphism test runs. Its witness is the plain tuple (catalog name,
 sorted host vertices).
 
@@ -150,15 +152,15 @@ def is_strong_havel_hakimi_definitional(g: Graph) -> bool:
 
 @functools.cache
 def _copy_tables() -> tuple:
-    """Per order k of the catalog, ascending: (k, prefixes, full). full
-    maps the code of every labelled copy of a k-vertex forbidden graph to
-    the catalog name of the first graph it copies; prefixes[m] (m < k)
-    holds the codes of the copies' first m positions. A copy puts vertex
-    v of the graph at position pos[v], for a permutation pos, and its code
-    has the bit j*(j-1)//2 + i of each position pair i < j that holds an
-    edge, so the code of the first m positions is the code's low
-    m*(m-1)//2 bits. Built on first use, from the edge list: k! codes per
-    graph."""
+    """One list levels of k code levels per order k of the catalog, in
+    ascending order. A copy puts vertex v of a k-vertex forbidden graph at
+    position pos[v], for a permutation pos, and its code has the bit
+    j*(j-1)//2 + i of each position pair i < j that holds an edge, so the
+    code of the first m + 1 positions is the code's low m*(m+1)//2 bits.
+    levels[m] holds those codes of every labelled copy: a set for each
+    prefix, and, as the last entry, the dict from each full code to the
+    catalog name of the first graph it copies. Built on first use, from
+    the edge list: k! codes per graph."""
     k_max = max(h.n for h in FORBIDDEN_SUBGRAPHS.values())
     pair_bit = [[0] * k_max for _ in range(k_max)]
     for j in range(k_max):
@@ -172,43 +174,39 @@ def _copy_tables() -> tuple:
             # distinct edges set distinct bits, so the sum is their OR
             full.setdefault(sum([pair_bit[pos[u]][pos[v]] for u, v in edges]), name)
     return tuple(
-        (k, [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)], full)
+        [*({code & ((1 << m * (m + 1) // 2) - 1) for code in full} for m in range(k - 1)), full]
         for k, full in sorted(by_order.items())
     )
 
 
-def _extend_copy(above, rows, chosen, prefixes, full, slack: int, code: int, start: int):
+def _extend_copy(above, rows, chosen, levels, code: int, start: int):
     """The first k-subset of the n vertices, in lexicographic order, that
-    induces a copy in full, as (name, sorted vertices), among the subsets
-    that begin with the vertices chosen, whose code is code (see
-    _copy_tables), and go on from start; k is len(prefixes) and slack is
-    n - k + 1. One rows list serves the whole scan.
+    induces a copy coded in levels (see _copy_tables), as (name, sorted
+    vertices), among the subsets that begin with the vertices chosen,
+    whose code is code, and go on from start; k is len(levels) and n is
+    len(rows). One rows list serves the whole scan.
 
     Subsets grow one vertex at a time, and the code grows by the new
-    vertex's row rows[v], one bit per position before it. Choosing v at
+    vertex's row rows[v], one bit per position before it. A code at
+    position m is looked up in levels[m]: a prefix whose code is not there
+    begins no labelled copy, so it is dropped with every subset extending
+    it, and at the last position the lookup names the copy. Choosing v at
     position m sets bit m in the rows of above[v], v's neighbours above v,
     and clears it again once the subsets extending that choice are done;
-    later positions hold only vertices above v, so no other row is read.
-    A prefix whose code is not in the set for its length begins no
-    labelled copy, so it is dropped with every subset extending it."""
+    later positions hold only vertices above v, so no other row is read."""
     m = len(chosen)
     shift = m * (m - 1) // 2
-    stop = slack + m
-    if m == len(prefixes) - 1:
-        for v in range(start, stop):
-            name = full.get(code | rows[v] << shift)
-            if name is not None:
-                return name, (*chosen, v)
-        return None
-    level, bit = prefixes[m + 1], 1 << m
-    for v in range(start, stop):
+    level, bit = levels[m], 1 << m
+    for v in range(start, len(rows) - len(levels) + m + 1):
         c = code | rows[v] << shift
         if c in level:
+            if m + 1 == len(levels):
+                return level[c], (*chosen, v)
             nbrs = above[v]
             for w in nbrs:
                 rows[w] |= bit
             chosen.append(v)
-            hit = _extend_copy(above, rows, chosen, prefixes, full, slack, c, v + 1)
+            hit = _extend_copy(above, rows, chosen, levels, c, v + 1)
             chosen.pop()
             for w in nbrs:
                 rows[w] ^= bit
@@ -239,10 +237,10 @@ def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     # -(2 << v) keeps the bits above v
     above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
     rows = [0] * n  # all zeros again after a scan that finds nothing
-    for k, prefixes, full in _copy_tables():
-        if k > n:
+    for levels in _copy_tables():
+        if len(levels) > n:
             break
-        hit = _extend_copy(above, rows, [], prefixes, full, n - k + 1, 0, 0)
+        hit = _extend_copy(above, rows, [], levels, 0, 0)
         if hit:
             return hit[0], tuple(verts[i] for i in hit[1])
     return None

@@ -77,8 +77,10 @@ MUTANTS = [
         "for a in adj[1:]))",
         ["tests/test_recognition.py"],
     ),
-    # the forbidden scan keeps a prefix by the codes one position shorter
-    ("src/hhresidue/recognition.py", "prefixes[m + 1], 1 << m", "prefixes[m], 1 << m", ["tests/test_recognition.py"]),
+    # the forbidden scan looks a prefix's code up among the codes one position shorter
+    ("src/hhresidue/recognition.py", "levels[m], 1 << m", "levels[m - 1], 1 << m", ["tests/test_recognition.py"]),
+    # the forbidden scan takes its last position for a prefix and extends past it
+    ("src/hhresidue/recognition.py", "if m + 1 == len(levels):", "if m == len(levels):", ["tests/test_recognition.py"]),
     # the definitional oracle returns the prefix's answer without the top sweep
     ("src/hhresidue/recognition.py", "if first is not None:", "if True:", ["tests/test_recognition.py"]),
     # the peel deletes only isolated vertices, so a threshold graph with an edge keeps a core
@@ -164,7 +166,7 @@ MUTANTS = [
     # the matcher maps by invariant alone, without checking adjacency
     (
         "src/hhresidue/enumeration.py",
-        "if (av >> order[j] & 1) != (hw >> image[j] & 1):",
+        "if (av >> j & 1) != (hw >> image[j] & 1):",
         "if False:",
         ["tests/test_enumeration.py"],
     ),
@@ -224,6 +226,20 @@ MUTANTS = [
     ("src/hhresidue/degseq.py", "count[level] += carry - need", "count[level] += carry", ["tests/test_degseq.py"]),
     # a largest term equal to the number of terms passes the first check
     ("src/hhresidue/degseq.py", "if top > len(terms) - 1:", "if top > len(terms):", ["tests/test_degseq.py"]),
+    # each parent loses its last neighbourhood pattern, so some classes are never grown
+    (
+        "src/hhresidue/enumeration.py",
+        "    return patterns\n\n\ndef _lower_twins",
+        "    return patterns[:-1]\n\n\ndef _lower_twins",
+        ["tests/test_orbit_count.py"],
+    ),
+    # the matcher rejects every pair, so every candidate is kept as a new class
+    (
+        "src/hhresidue/enumeration.py",
+        "return _extend_match(g, h, [by_key[key] for key in ig], [])",
+        "return False",
+        ["tests/test_orbit_count.py"],
+    ),
     # the matcher may map two vertices to one
     ("src/hhresidue/enumeration.py", "        if w in image:\n            continue\n", "", ["tests/test_enumeration.py"]),
     # the forbidden scan keeps a vertex chosen after the subsets through it are done

@@ -75,26 +75,86 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._from_adj(k, tuple(adj))
 
 
+def automorphism_count(adj: tuple[int, ...]) -> int:
+    """|Aut G| of the graph with these neighbourhoods, by the
+    orbit-stabilizer chain: the product over i of the size of vertex i's
+    orbit under the automorphisms that fix vertices 0..i-1. A vertex w is
+    in that orbit when the map fixing 0..i-1 and sending i to w extends to
+    an automorphism, found by a backtracking search that reads only
+    degrees and adjacency to the vertices already mapped. It shares
+    nothing with the enumeration's vertex_invariants or its matcher.
+
+    The chain runs from the last vertex down, so every automorphism found
+    so far fixes 0..i-1; the orbit of i is closed under them, and only a
+    vertex outside that closure needs a search of its own."""
+    by_degree: dict[int, list[int]] = {}
+    for v, a in enumerate(adj):
+        by_degree.setdefault(a.bit_count(), []).append(v)
+    cands = [by_degree[a.bit_count()] for a in adj]
+    found: list[list[int]] = []
+    count = 1
+    for i in reversed(range(len(adj))):
+        orbit = {i}
+        for w in cands[i]:
+            if w in orbit:
+                continue
+            perm = _automorphism_from(adj, cands, list(range(i)), w)
+            if perm is None:
+                continue
+            found.append(perm)
+            todo = list(orbit)
+            while todo:
+                x = todo.pop()
+                for p in found:
+                    if p[x] not in orbit:
+                        orbit.add(p[x])
+                        todo.append(p[x])
+        count *= len(orbit)
+    return count
+
+
+def _automorphism_from(adj, cands, image: list[int], w: int) -> list[int] | None:
+    """An automorphism, as the list of its images, that sends each vertex
+    u < len(image) to image[u] and vertex len(image) to w, or None when
+    there is none. Vertex v maps only into cands[v], the vertices of its
+    degree, and vertices map in label order."""
+    v = len(image)
+    if w in image:
+        return None
+    a, b = adj[v], adj[w]
+    for u, x in enumerate(image):
+        if (a >> u & 1) != (b >> x & 1):
+            return None
+    image = [*image, w]
+    if v + 1 == len(adj):
+        return image
+    for x in cands[v + 1]:
+        perm = _automorphism_from(adj, cands, image, x)
+        if perm is not None:
+            return perm
+    return None
+
+
 def copy_tables_by_pairs(catalog) -> tuple:
     """recognition._copy_tables for the given catalog, built pair by pair:
     the copy whose position p holds vertex perm[p] sets the bit
-    j*(j-1)//2 + i of each position pair i < j with perm[i] ~ perm[j].
-    The reference for the build from edge lists."""
-    by_order: dict[int, dict[int, str]] = {}
+    j*(j-1)//2 + i of each position pair i < j with perm[i] ~ perm[j],
+    and its code so far, before each position j >= 1 is added, joins the
+    level of the first j positions. The reference for the build from edge
+    lists."""
+    by_order: dict[int, list] = {}
     for name, h in catalog.items():
-        full = by_order.setdefault(h.n, {})
+        levels = by_order.setdefault(h.n, [*(set() for _ in range(h.n - 1)), {}])
         for perm in itertools.permutations(range(h.n)):
             code = 0
             for j in range(1, h.n):
+                levels[j - 1].add(code)
                 a = h.adj[perm[j]]
                 for i in range(j):
                     if a >> perm[i] & 1:
                         code |= 1 << (j * (j - 1) // 2 + i)
-            full.setdefault(code, name)
-    return tuple(
-        (k, [{code & ((1 << m * (m - 1) // 2) - 1) for code in full} for m in range(k)], full)
-        for k, full in sorted(by_order.items())
-    )
+            levels[-1].setdefault(code, name)
+    return tuple(levels for _, levels in sorted(by_order.items()))
 
 
 def invariant_triples(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -51,6 +51,27 @@ def domino() -> Graph:
     return Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def petersen() -> Graph:
+    """The Petersen graph: outer cycle 0..4, spokes i - i+5, and the inner
+    pentagram on 5..9."""
+    return _spoked_pentagons(2)
+
+
+def pentagonal_prism() -> Graph:
+    """Two 5-cycles, 0..4 and 5..9, joined by the spokes i - i+5. Like the
+    Petersen graph it is cubic and triangle-free on ten vertices."""
+    return _spoked_pentagons(1)
+
+
+def _spoked_pentagons(step: int) -> Graph:
+    """Outer cycle 0..4, spokes i - i+5, and each inner vertex 5+i joined
+    to the one step places on."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + step) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.adj[u] >> v & 1])
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,17 @@ from hhresidue.graph6 import emit_graph6
 from hhresidue.graphs import SCALE_MAX_N, Graph, iter_bits
 
 from oracles import induced_subgraph, invariant_triples, is_isomorphic, isomorphism_class_count_labeled, to_networkx
-from strategies import complete, cycle, degree_term_lists, graphs, graphs_up_to, path
+from strategies import (
+    complete,
+    cycle,
+    degree_term_lists,
+    graphs,
+    graphs_up_to,
+    path,
+    pentagonal_prism,
+    petersen,
+    relabel,
+)
 
 
 def test_counts_up_to_6():
@@ -130,6 +141,36 @@ def test_matcher_calls_per_order(monkeypatch):
         enumerate_graphs(n)
         per_order.append(len(calls) - before)
     assert per_order == [0, 0, 0, 0, 3, 22, 265, 2947]
+
+
+def _petersen_pairs():
+    """Petersen against the pentagonal prism, then against five seeded
+    relabellings of itself, each with whether the two are isomorphic."""
+    rng = random.Random(0)
+    yield pentagonal_prism(), False
+    for _ in range(5):
+        yield relabel(petersen(), rng.sample(range(10), 10)), True
+
+
+def test_match_when_every_key_is_equal():
+    """Petersen and the pentagonal prism are cubic and triangle-free, so
+    every vertex of both has the same key and the keys narrow the search
+    not at all. They are not isomorphic, and Petersen is isomorphic to
+    each relabelling of itself."""
+    g = petersen()
+    ig = vertex_invariants(g)
+    for h, want in _petersen_pairs():
+        ih = vertex_invariants(h)
+        assert len(set(ig + ih)) == 1
+        assert _match(g.adj, ig, h.adj, ih) is want
+        assert _match(h.adj, ih, g.adj, ig) is want
+
+
+def test_match_when_every_key_is_equal_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    g = to_networkx(petersen())
+    for h, want in _petersen_pairs():
+        assert nx.is_isomorphic(g, to_networkx(h)) is want
 
 
 def _old_filter(degrees):
