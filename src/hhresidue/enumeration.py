@@ -42,8 +42,22 @@ still a plain adjacency tuple, is built as a :class:`Graph` only when the
 matcher, a backtracking search that maps the vertices in label order,
 each only to one with the same key, rejects every representative already
 in its bucket.
-Buckets live for one order only. Results are cached per order and listed
-in generation order, so repeated sweeps are cheap and deterministic.
+
+A candidate whose new vertex holds the unique least key goes to buckets
+that live for its parent only; one with a tied least key goes to buckets
+shared by the whole order. The output is the same as with shared buckets
+alone. Let C be a candidate whose new vertex v holds the unique least
+key, and let C' be isomorphic to C, grown from parent P' with new vertex
+v' of least key in C'. An isomorphism C' -> C preserves keys, so it maps
+v' to v. So P' is isomorphic to C - v = P, and since parents are
+pairwise non-isomorphic, P' = P. Having a unique least key is an
+isomorphism invariant, so C' goes to the per-parent buckets too. So the
+candidates isomorphic to C all meet in P's buckets, and the first of
+each class in generation order is kept, as before. Only the shared
+buckets last the whole order, so only the classes with a tied least key
+keep their key lists until the order ends. Results are cached per order
+and listed in generation order, so repeated sweeps are cheap and
+deterministic.
 
 The new vertex is always n-1 and the old adjacencies are copied
 unchanged, so the representative of order n-1 that a representative was
@@ -79,6 +93,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
         for g in enumerate_graphs(n - 1):
             g_deg = g.degrees
             g_key = vertex_invariants(g)
+            own: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
             for pattern in _twin_orbit_patterns(g.adj, g_deg):
                 key = _child_invariants(g.adj, g_deg, g_key, pattern)
                 if key is None:
@@ -87,7 +102,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 for u in iter_bits(pattern):
                     adj[u] |= new_bit
                 adj = tuple(adj)
-                bucket = buckets.setdefault(tuple(sorted(key)), [])
+                sorted_key = tuple(sorted(key))
+                # a unique least key pins the parent: see the module docstring
+                bucket = (own if sorted_key[0] < sorted_key[1] else buckets).setdefault(sorted_key, [])
                 if not any(_match(adj, key, r, r_key) for r, r_key in bucket):
                     bucket.append((adj, key))
                     reps.append(Graph._from_adj(n, adj))

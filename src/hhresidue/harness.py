@@ -5,7 +5,8 @@ A :class:`GraphRecord` holds the facts about one graph that the checks and
 ``analyze`` read: graph6, degree sequence, residue, alpha, the Maxine
 sizes, the forbidden-subgraph witness, the first definitional violation,
 and threshold and configuration-free membership. Each is computed on
-first access and kept. Records are cached per order, like the
+first access and kept in the record's __dict__, with no lock (see
+GraphRecord). Records are cached per order, like the
 enumeration itself, so a run of several checks computes each fact once
 per isomorphism class.
 
@@ -39,7 +40,7 @@ report alone. The facts checked:
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable
 
 from .degseq import residue
@@ -56,48 +57,71 @@ from .recognition import (
 )
 
 
+class _fact:
+    """A GraphRecord field whose method runs on the first read, which
+    stores the value in the record's __dict__ under the method's name. A
+    non-data descriptor is consulted only when the instance __dict__
+    misses, so later reads find the value there, and a value put there
+    first (a planted fact in a test) is read instead of computed. Read on
+    the class, it returns itself."""
+
+    def __init__(self, compute: Callable[[GraphRecord], Any]):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, rec: GraphRecord | None, owner: type | None = None) -> Any:
+        if rec is None:
+            return self
+        value = rec.__dict__[self.name] = self.compute(rec)
+        return value
+
+
 class GraphRecord:
     """The per-graph facts, each computed on first access and then kept.
     Callers read only the fields within the scale bounds of their
-    inputs."""
+    inputs. The fields are _fact descriptors, not the functools cached
+    property: on Python 3.10 and 3.11 that takes a lock shared by every
+    record on each first read, and a certify pass makes about ten
+    thousand first reads."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
-    @cached_property
+    @_fact
     def graph6(self) -> str:
         return emit_graph6(self.graph)
 
-    @cached_property
+    @_fact
     def degree_sequence(self) -> tuple[int, ...]:
         return self.graph.degree_sequence()
 
-    @cached_property
+    @_fact
     def residue(self) -> int:
         return residue(self.degree_sequence)
 
-    @cached_property
+    @_fact
     def alpha(self) -> int:
         return independence_number(self.graph)
 
-    @cached_property
+    @_fact
     def maxine_sizes(self) -> tuple[int, ...]:
         return maxine_all_branches(self.graph)
 
-    @cached_property
+    @_fact
     def witness(self) -> tuple[str, tuple[int, ...]] | None:
         return strong_hh_witness(self.graph)
 
-    @cached_property
+    @_fact
     def violation(self) -> int | None:
         """First vertex subset (bitmask) failing the definitional oracle."""
         return definitional_violation(self.graph)
 
-    @cached_property
+    @_fact
     def threshold(self) -> bool:
         return is_threshold(self.graph)
 
-    @cached_property
+    @_fact
     def config_free(self) -> bool:
         return is_matrogenic_config_free(self.graph)
 

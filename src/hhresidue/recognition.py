@@ -10,8 +10,9 @@ violating subset, and a scan for the nine minimal forbidden induced
 subgraphs. Per subset, the sweep sorts the vertices into one bitmask per
 induced degree; a maximum-degree vertex fails when one of its
 non-neighbors lies in a level above the lowest level that meets its
-neighborhood. Subsets of at most four vertices are skipped, since no
-graph on at most four vertices fails (the proof is in
+neighborhood. The subsets come from one table per order, which lists
+each mask with its vertices and leaves out subsets of at most four
+vertices, since no graph on at most four vertices fails (the proof is in
 definitional_violation), and answers are kept per adjacency tuple. The
 tests check the sweep against the property tested vertex by vertex, a
 route kept in tests/oracles.py. The module also gives two
@@ -92,12 +93,14 @@ def definitional_violation(g: Graph) -> int | None:
     for the life of the process, so a graph asked after its prefix sweeps
     at most the masks through its top vertex.
 
-    Masks of at most four vertices are skipped, since no graph on at most
-    four vertices fails. Suppose a maximum-degree vertex v had a neighbour
-    u and a non-neighbour w != v with deg w > deg u >= 1. Then w has at
-    least two neighbours outside {v, w}, so there are exactly four
-    vertices and w ~ u. Since u ~ v and u ~ w, deg u >= 2 = deg w, a
-    contradiction."""
+    The masks through the top vertex are read, with their vertex lists,
+    from a table built once per order and kept for the process
+    (_top_masks), so no sweep decodes a mask. The table leaves out masks
+    of at most four vertices, since no graph on at most four vertices
+    fails. Suppose a maximum-degree vertex v had a neighbour u and a
+    non-neighbour w != v with deg w > deg u >= 1. Then w has at least two
+    neighbours outside {v, w}, so there are exactly four vertices and
+    w ~ u. Since u ~ v and u ~ w, deg u >= 2 = deg w, a contradiction."""
     check_order("definitional", g.n)
     return _first_violation(g.adj)
 
@@ -113,10 +116,7 @@ def _first_violation(adj: tuple[int, ...]) -> int | None:
     first = _first_violation(tuple(a & low for a in adj[:-1]))
     if first is not None:
         return first
-    for mask in range(1 << (n - 1), 1 << n):
-        verts = iter_bits(mask)
-        if len(verts) < 5:
-            continue  # no graph on at most four vertices fails
+    for mask, verts in _top_masks(n):
         # levels[d]: the vertices of induced degree d
         levels = [0] * len(verts)
         dmax = 0
@@ -143,6 +143,13 @@ def _first_violation(adj: tuple[int, ...]) -> int | None:
                         return mask
                     break
     return None
+
+
+@functools.cache
+def _top_masks(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, iter_bits(mask)) for every mask of at least five of the
+    vertices 0..n-1 that contains vertex n-1, in increasing order."""
+    return tuple((mask, iter_bits(mask)) for mask in range(1 << (n - 1), 1 << n) if mask.bit_count() >= 5)
 
 
 def is_strong_havel_hakimi_definitional(g: Graph) -> bool:

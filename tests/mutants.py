@@ -89,8 +89,8 @@ MUTANTS = [
     ("src/hhresidue/recognition.py", "rows[w] ^= bit", "pass", ["tests/test_recognition.py"]),
     # alpha folds vertices of degree 2 as if pendant
     ("src/hhresidue/independence.py", "if dv <= 1:", "if dv <= 2:", ["tests/test_independence.py"]),
-    # the definitional sweep also skips five-vertex masks
-    ("src/hhresidue/recognition.py", "if len(verts) < 5:", "if len(verts) < 6:", ["tests/test_recognition.py"]),
+    # the definitional sweep's mask table also leaves out five-vertex masks
+    ("src/hhresidue/recognition.py", "mask.bit_count() >= 5)", "mask.bit_count() >= 6)", ["tests/test_recognition.py"]),
     # Maxine branching counts every candidate as its own branch size
     ("src/hhresidue/independence.py", "len(cands) // 2", "len(cands)", ["tests/test_independence.py"]),
     # Maxine branching memoises no state, so it revisits each one
@@ -195,6 +195,13 @@ MUTANTS = [
     ),
     # a pattern vertex gains a degree but not the new neighbour in its histogram
     ("src/hhresidue/enumeration.py", "gain = (1 << 72) - _WEIGHT[k]", "gain = 1 << 72", ["tests/test_enumeration.py"]),
+    # a record field is computed on every read, never kept
+    (
+        "src/hhresidue/harness.py",
+        "value = rec.__dict__[self.name] = self.compute(rec)",
+        "value = self.compute(rec)",
+        ["tests/test_harness.py"],
+    ),
     # the lemma test finds induced 4-cycles through v but no 5-path centred at v
     (
         "src/hhresidue/harness.py",
@@ -239,6 +246,13 @@ MUTANTS = [
         "return _extend_match(g, h, [by_key[key] for key in ig], [])",
         "return False",
         ["tests/test_orbit_count.py"],
+    ),
+    # every candidate goes to its parent's buckets, so a class with a tied least key is kept once per parent
+    (
+        "src/hhresidue/enumeration.py",
+        "(own if sorted_key[0] < sorted_key[1] else buckets)",
+        "own",
+        ["tests/test_enumeration.py"],
     ),
     # the matcher may map two vertices to one
     ("src/hhresidue/enumeration.py", "        if w in image:\n            continue\n", "", ["tests/test_enumeration.py"]),

@@ -131,7 +131,7 @@ FAILING_IDS = [f"{cid}-{g6}-{'+'.join(facts)}" for cid, g6, facts, _ in FAILING_
 
 def failing_record(g6, facts):
     rec = GraphRecord(parse_graph6(g6))
-    rec.__dict__.update(facts)  # where cached_property keeps a fact
+    rec.__dict__.update(facts)  # where a record keeps a computed fact
     return rec
 
 
@@ -169,25 +169,50 @@ def test_all_checks_pass_at_n5():
         assert report["n_max"] == 5
 
 
+# the kernel behind each computed GraphRecord fact that the six checks read
+FACT_KERNELS = (
+    "strong_hh_witness",
+    "residue",
+    "independence_number",
+    "maxine_all_branches",
+    "definitional_violation",
+    "is_threshold",
+    "is_matrogenic_config_free",
+)
+
+
 def test_checks_share_one_record_per_class(monkeypatch):
     """All six checks read one cached record per class: from an empty
-    record cache, the witness scan runs once per class of order <= 6 (208
-    classes), and a second run of every check adds no scan."""
-    scanned = []
-    real = harness.strong_hh_witness
+    record cache, every fact kernel runs once per class of order <= 6 (208
+    classes), and a second run of every check adds no call. The catalog
+    part of minimal-forbidden asks the definitional oracle about the nine
+    catalog graphs on fresh records, so those calls are left out."""
+    catalog = {id(fg) for fg in FORBIDDEN_SUBGRAPHS.values()}
+    calls = {name: [] for name in FACT_KERNELS}
 
-    def counting(g):
-        scanned.append(g)
-        return real(g)
+    def counting(name):
+        real = getattr(harness, name)
+
+        def kernel(arg):
+            if id(arg) not in catalog:
+                calls[name].append(arg)
+            return real(arg)
+
+        return kernel
 
     monkeypatch.setattr(harness, "_records", {})
-    monkeypatch.setattr(harness, "strong_hh_witness", counting)
+    for name in FACT_KERNELS:
+        monkeypatch.setattr(harness, name, counting(name))
     for theorem_id in THEOREM_CHECKS:
         assert verify(theorem_id, 6)["passed"], theorem_id
-    assert len(scanned) == len(set(scanned)) == 208
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(FACT_KERNELS, 208)
+    graphs = [rec.graph for rec in records_up_to(6)]
+    for name, args in calls.items():
+        if name != "residue":  # residue reads the record's degree sequence
+            assert sorted(map(id, args)) == sorted(map(id, graphs)), name
     for theorem_id in THEOREM_CHECKS:
         verify(theorem_id, 6)
-    assert len(scanned) == 208
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(FACT_KERNELS, 208)
 
 
 def test_lemma_asks_alpha_only_of_possible_violators(monkeypatch):
@@ -219,8 +244,9 @@ def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
     order-0 graph, and the seven catalog graphs that are not class
     representatives with eleven of their prefixes) and make 216 hits; a
     second run adds hits but no miss. With its prefix's answer kept, each
-    class of order 2..6 either sweeps nothing (its prefix fails) or starts
-    its sweep at mask 1 << (n-1)."""
+    class of order 2..6 either sweeps nothing (its prefix fails) or reads
+    one mask table, that of its own order, whose masks all hold the new
+    vertex n-1."""
     memo = recognition._first_violation
     memo.cache_clear()
     monkeypatch.setattr(harness, "_records", {})
@@ -235,8 +261,8 @@ def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
 
     memo.cache_clear()
     swept = []
-    real = recognition.iter_bits
-    monkeypatch.setattr(recognition, "iter_bits", lambda mask: swept.append(mask) or real(mask))
+    real = recognition._top_masks
+    monkeypatch.setattr(recognition, "_top_masks", lambda n: swept.append(n) or real(n))
     no_sweep = from_top = 0
     for rec in records_up_to(6)[1:]:
         g = rec.graph
@@ -247,7 +273,7 @@ def test_children_sweep_only_masks_with_the_new_vertex(monkeypatch):
             assert swept == [], rec.graph6
             no_sweep += 1
         else:
-            assert swept[0] == 1 << (g.n - 1), rec.graph6
+            assert swept == [g.n], rec.graph6
             from_top += 1
     assert (no_sweep, from_top) == (30, 177)
 

@@ -345,6 +345,19 @@ def test_no_graph_on_at_most_four_vertices_fails():
     assert checked == 76
 
 
+def test_top_mask_table_matches_a_brute_force_filter():
+    """For n = 1..12, the sweep's table lists, in increasing order, every
+    mask below 2^n that holds vertex n-1 and at least five vertices, each
+    with its vertices in increasing order."""
+    for n in range(1, 13):
+        want = [
+            (mask, tuple(v for v in range(n) if mask >> v & 1))
+            for mask in range(1 << n)
+            if mask >> (n - 1) & 1 and bin(mask).count("1") >= 5
+        ]
+        assert recognition._top_masks(n) == tuple(want), n
+
+
 def minimal_forbidden_by_deletion(g):
     """Oracle: outside the class by the definitional recognizer, with every
     one-vertex deletion inside."""
