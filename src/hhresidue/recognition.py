@@ -37,13 +37,13 @@ sorted host vertices).
 
 The scan covers only the core that _peel leaves: the vertices left after
 deleting, until none remains, a vertex isolated or dominating among
-those still left. The witness stays the same, by three facts. No
+those still left. The witness stays the same, by two facts. No
 forbidden graph has an isolated or a dominating vertex. A vertex
 isolated or dominating among the vertices left is so in every subset of
-them that contains it, so no copy contains a peeled vertex. And the
-core is relabelled in increasing order, which keeps the lexicographic
-order of its subsets, so the first copy in the core is the first copy
-in g. A threshold graph is one whose core is empty.
+them that contains it, so no copy contains a peeled vertex. The scan
+reads the core in g's own labels, so its subsets come in g's
+lexicographic order and its first copy is g's first copy. A threshold
+graph is one whose core is empty.
 """
 
 from __future__ import annotations
@@ -186,39 +186,40 @@ def _copy_tables() -> tuple:
     )
 
 
-def _extend_copy(above, rows, chosen, levels, code: int, start: int):
-    """The first k-subset of the n vertices, in lexicographic order, that
-    induces a copy coded in levels (see _copy_tables), as (name, sorted
-    vertices), among the subsets that begin with the vertices chosen,
-    whose code is code, and go on from start; k is len(levels) and n is
-    len(rows). One rows list serves the whole scan.
+def _extend_copy(verts, above, rows, levels, m: int, code: int, start: int):
+    """The first way, in lexicographic order of positions in verts, to
+    finish a copy coded in levels (see _copy_tables) whose first m
+    vertices are chosen, with code code: k - m more vertices at positions
+    from start on, where k is len(levels). Returns (name, those k - m
+    vertices in the order of verts), or None. rows and above are indexed
+    by vertex, and one rows list serves the whole scan.
 
     Subsets grow one vertex at a time, and the code grows by the new
     vertex's row rows[v], one bit per position before it. A code at
     position m is looked up in levels[m]: a prefix whose code is not there
     begins no labelled copy, so it is dropped with every subset extending
-    it, and at the last position the lookup names the copy. Choosing v at
-    position m sets bit m in the rows of above[v], v's neighbours above v,
-    and clears it again once the subsets extending that choice are done;
-    later positions hold only vertices above v, so no other row is read."""
-    m = len(chosen)
+    it, and at the last position the lookup names the copy. A prefix also
+    stops where too few positions are left to reach k vertices. Choosing
+    v at position m sets bit m in the rows of above[v], v's neighbours
+    after v in verts, and clears it again once the subsets extending that
+    choice are done; later positions hold only vertices after v, so no
+    other row is read. The witness is built on the way out."""
     shift = m * (m - 1) // 2
     level, bit = levels[m], 1 << m
-    for v in range(start, len(rows) - len(levels) + m + 1):
+    for i in range(start, len(verts) - len(levels) + m + 1):
+        v = verts[i]
         c = code | rows[v] << shift
         if c in level:
             if m + 1 == len(levels):
-                return level[c], (*chosen, v)
+                return level[c], (v,)
             nbrs = above[v]
             for w in nbrs:
                 rows[w] |= bit
-            chosen.append(v)
-            hit = _extend_copy(above, rows, chosen, levels, c, v + 1)
-            chosen.pop()
+            hit = _extend_copy(verts, above, rows, levels, m + 1, c, i + 1)
             for w in nbrs:
                 rows[w] ^= bit
             if hit:
-                return hit
+                return hit[0], (v, *hit[1])
     return None
 
 
@@ -230,26 +231,20 @@ def strong_hh_witness(g: Graph) -> tuple[str, tuple[int, ...]] | None:
 
     Only the core left by _peel is scanned: a vertex isolated or dominating
     among those left is so in every subset of them, and no forbidden graph
-    has such a vertex, so every copy lies in the core. When a vertex was
-    peeled, the core is relabelled 0, 1, ... in increasing order, which
-    keeps the lexicographic order of its subsets, and the witness is
-    mapped back to host labels."""
-    adj, core = g.adj, _peel(g.adj)
+    has such a vertex, so every copy lies in the core. The scan walks the
+    core's vertices in increasing order under g's own labels, so its first
+    copy is g's first copy."""
+    core = _peel(g.adj)
     verts = iter_bits(core)
-    if len(verts) < g.n:
-        label = {v: i for i, v in enumerate(verts)}
-        # distinct neighbours set distinct bits, so the sum is their OR
-        adj = tuple(sum([1 << label[u] for u in iter_bits(adj[v] & core)]) for v in verts)
-    n = len(adj)
-    # -(2 << v) keeps the bits above v
-    above = [iter_bits(a & -(2 << v)) for v, a in enumerate(adj)]
-    rows = [0] * n  # all zeros again after a scan that finds nothing
+    # -(2 << v) keeps the bits above v; a peeled vertex's entry is never read
+    above = [iter_bits(a & core & -(2 << v)) for v, a in enumerate(g.adj)]
+    rows = [0] * g.n  # all zeros again after a scan that finds nothing
     for levels in _copy_tables():
-        if len(levels) > n:
+        if len(levels) > len(verts):
             break
-        hit = _extend_copy(above, rows, [], levels, 0, 0)
+        hit = _extend_copy(verts, above, rows, levels, 0, 0, 0)
         if hit:
-            return hit[0], tuple(verts[i] for i in hit[1])
+            return hit
     return None
 
 

@@ -256,17 +256,21 @@ MUTANTS = [
     ),
     # the matcher may map two vertices to one
     ("src/hhresidue/enumeration.py", "        if w in image:\n            continue\n", "", ["tests/test_enumeration.py"]),
-    # the forbidden scan keeps a vertex chosen after the subsets through it are done
-    ("src/hhresidue/recognition.py", "            chosen.pop()\n", "", ["tests/test_recognition.py"]),
     # the peel also deletes vertices of degree 1 among those left, so P5 peels to nothing
     ("src/hhresidue/recognition.py", "if d == 0 or d == full:", "if d <= 1 or d == full:", ["tests/test_recognition.py"]),
-    # the scan names a copy by its labels in the core, not in the host
-    ("src/hhresidue/recognition.py", "verts[i] for i in hit[1]", "i for i in hit[1]", ["tests/test_recognition.py"]),
-    # the scan covers the core's vertices under their host labels
+    # the scan takes a position in the core for the vertex there
+    ("src/hhresidue/recognition.py", "v = verts[i]", "v = i", ["tests/test_recognition.py"]),
+    # the scan goes on from the position numbered like the vertex just chosen
+    ("src/hhresidue/recognition.py", "c, i + 1)", "c, v + 1)", ["tests/test_recognition.py"]),
+    # the scan's witness keeps only the copy's last vertex
+    ("src/hhresidue/recognition.py", "return hit[0], (v, *hit[1])", "return hit", ["tests/test_recognition.py"]),
+    # the scan never tries the last vertex that could still start or extend a copy
+    ("src/hhresidue/recognition.py", "+ m + 1)", "+ m)", ["tests/test_recognition.py"]),
+    # the scan goes on with a prefix that too few vertices are left to finish
     (
         "src/hhresidue/recognition.py",
-        "adj = tuple(sum([1 << label[u] for u in iter_bits(adj[v] & core)]) for v in verts)",
-        "adj = tuple(adj[v] & core for v in verts)",
+        "range(start, len(verts) - len(levels) + m + 1)",
+        "range(start, len(verts))",
         ["tests/test_recognition.py"],
     ),
 ]

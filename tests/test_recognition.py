@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from hhresidue import recognition
 from hhresidue.degseq import hh_reduce
+from hhresidue.enumeration import enumerate_graphs
 from hhresidue.graphs import Graph, iter_bits
 from hhresidue.recognition import (
     FORBIDDEN_SUBGRAPHS,
@@ -251,6 +252,29 @@ def test_full_scan_on_in_class_graph_that_peels_nothing():
     g = relabel(Graph(20, [(2 * i, 2 * i + 1) for i in range(10)]), perm)
     assert recognition._peel(g.adj) == (1 << 20) - 1
     assert strong_hh_witness(g) is None
+
+
+def test_scan_calls_per_order(monkeypatch):
+    """The forbidden scan's recursion runs as often as pinned over all
+    classes of orders 1..7. Below order 5 nothing is scanned. Without the
+    bound that stops a prefix when too few vertices are left to finish a
+    copy, the witnesses stay the same but the counts were 0, 0, 0, 0, 240,
+    3849, 25281."""
+    calls = []
+    extend = recognition._extend_copy
+
+    def counting(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(recognition, "_extend_copy", counting)
+    per_order = []
+    for n in range(1, 8):
+        before = len(calls)
+        for g in enumerate_graphs(n):
+            strong_hh_witness(g)
+        per_order.append(len(calls) - before)
+    assert per_order == [0, 0, 0, 0, 60, 1024, 9780]
 
 
 def grown_in_class_graph(n, rng):
